@@ -3,7 +3,7 @@
 # ./...` from the root does not cross the nested module boundary, so the
 # targets below spell both out.
 
-.PHONY: all build test race lint lint-one fuzz-smoke
+.PHONY: all build test race lint lint-one fuzz-smoke bench-smoke
 
 all: build test lint
 
@@ -43,3 +43,13 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz '^FuzzOnDemandDifferential$$' -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz '^FuzzStoreRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/store
+
+# bench-smoke mirrors the CI bench-smoke job: the perf ledger under
+# bench/ is its own module outside go.work, so it is vetted and tested
+# with GOWORK=off. Its tests build the real jsonski and jsonskid, run
+# every workload at tiny sizes and check each answer against the DOM
+# reference. -count=1: the test cache does not track the sources those
+# binaries are built from, so a cached pass could hide a broken daemon.
+bench-smoke:
+	cd bench && GOWORK=off go vet .
+	cd bench && GOWORK=off go test -count=1 .

@@ -41,7 +41,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8490", "listen address")
 		workers     = flag.Int("workers", 0, "evaluation worker goroutines (0 = GOMAXPROCS)")
-		queue       = flag.Int("queue", 0, "bounded record-queue depth (0 = 4x workers)")
+		queue       = flag.Int("queue", 0, "bounded queue depth, in batches of records (0 = 4x workers)")
 		cache       = flag.Int("cache", 0, "compiled-query cache capacity (0 = default)")
 		maxBody     = flag.Int64("max-body", 0, "request body byte cap (0 = 1 GiB, negative = unlimited)")
 		ixCache     = flag.Int64("index-cache", 0, "structural-index cache byte budget (0 = 64 MiB, negative = disabled)")

@@ -10,10 +10,13 @@ import (
 )
 
 // nullWriter is a ResponseWriter that discards the body, so benchmarks
-// measure the handler's own allocations rather than a recorder's.
+// measure the handler's own allocations rather than a recorder's. It
+// counts flushes: on a real connection each one is a chunked write and a
+// client wake-up, a cost the discarded body would otherwise hide.
 type nullWriter struct {
-	h http.Header
-	n int64
+	h       http.Header
+	n       int64
+	flushes int
 }
 
 func (w *nullWriter) Header() http.Header {
@@ -24,7 +27,7 @@ func (w *nullWriter) Header() http.Header {
 }
 func (w *nullWriter) Write(b []byte) (int, error) { w.n += int64(len(b)); return len(b), nil }
 func (w *nullWriter) WriteHeader(int)             {}
-func (w *nullWriter) Flush()                      {}
+func (w *nullWriter) Flush()                      { w.flushes++ }
 
 // benchDoc is a single document with a handful of matches for
 // $.items[*].name plus bulk the query fast-forwards over.
@@ -68,21 +71,32 @@ func BenchmarkServerQuerySingleDoc(b *testing.B) {
 	}
 }
 
-// BenchmarkServerQueryStream measures the /query NDJSON streaming path:
-// many small records per request, fanned across the worker pool.
+// BenchmarkServerQueryStream measures the NDJSON streaming path of
+// /query and /multi: many small records per request, fanned across the
+// worker pool, with the response flushes counted as flushes/op.
 func BenchmarkServerQueryStream(b *testing.B) {
-	s := benchServer(b)
 	var body bytes.Buffer
 	for i := 0; i < 64; i++ {
 		fmt.Fprintf(&body, `{"id":%d,"name":"rec-%04d","pad":"%s"}`+"\n", i, i, strings.Repeat("y", 80))
 	}
 	stream := body.Bytes()
-	b.ReportAllocs()
-	b.SetBytes(int64(len(stream)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest("POST", "/query?path=$.name", bytes.NewReader(stream))
-		var w nullWriter
-		s.ServeHTTP(&w, req)
+	for _, bm := range []struct{ name, target string }{
+		{"query", "/query?path=$.name"},
+		{"multi", "/multi?path=$.name&path=$.id"},
+	} {
+		b.Run(bm.name, func(b *testing.B) {
+			s := benchServer(b)
+			flushes := 0
+			b.ReportAllocs()
+			b.SetBytes(int64(len(stream)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest("POST", bm.target, bytes.NewReader(stream))
+				var w nullWriter
+				s.ServeHTTP(&w, req)
+				flushes += w.flushes
+			}
+			b.ReportMetric(float64(flushes)/float64(b.N), "flushes/op")
+		})
 	}
 }

@@ -3,11 +3,13 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"mime"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -26,29 +28,9 @@ const (
 	maxExplainEvents       = 4096
 )
 
-// recResult is one record's rendered output: the NDJSON lines for its
-// matches, or the evaluation error. buf, when non-nil, is the pooled
-// buffer backing out; release returns it once the bytes are written.
-// trace is non-nil only in explain mode.
-type recResult struct {
-	idx   int
-	out   []byte
-	buf   *bytes.Buffer
-	err   error
-	trace *jsonski.Trace
-}
-
-// release returns the pooled line buffer after out has been consumed.
-func (r *recResult) release() {
-	if r.buf != nil {
-		putLineBuf(r.buf)
-		r.buf, r.out = nil, nil
-	}
-}
-
-// linePool recycles the per-record output buffers of the NDJSON stream
-// path; records flow through the sliding window continuously, so fresh
-// buffers per record would dominate the handler's allocations.
+// linePool recycles the output buffers of single-document evaluations
+// that render their matches before writing them (explain runs and
+// /multi).
 var linePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func getLineBuf() *bytes.Buffer {
@@ -81,9 +63,10 @@ func recordPrefix(idx int) []byte {
 	return append(b, `,"value":`...)
 }
 
-// evalFunc evaluates one record and renders its match lines. It runs on
-// pool workers, concurrently with other records.
-type evalFunc func(rec []byte, idx int) recResult
+// recordEval evaluates record idx and appends its NDJSON match lines to
+// out. In explain mode it returns the record's fast-forward trace; nil
+// otherwise. It runs on pool workers, concurrently with other batches.
+type recordEval func(out *bytes.Buffer, rec []byte, idx int) (*jsonski.Trace, error)
 
 // evaluator bundles a record evaluation with its indexed twin. eval
 // handles NDJSON stream records (each line is seen once; indexing it
@@ -98,8 +81,8 @@ type evalFunc func(rec []byte, idx int) recResult
 // other paths are unused: explain runs bypass the index cache so the
 // trace reflects exactly the movements of this evaluation.
 type evaluator struct {
-	eval        evalFunc
-	evalIndexed func(ix *jsonski.Index, idx int) recResult
+	eval        recordEval
+	evalIndexed func(out *bytes.Buffer, ix *jsonski.Index) error
 	single      func(w io.Writer, data []byte, ix *jsonski.Index) error
 	explain     bool
 }
@@ -132,23 +115,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if explainRequested(r) {
 		s.serve(w, r, evaluator{
 			explain: true,
-			eval: func(rec []byte, idx int) recResult {
-				buf := getLineBuf()
+			eval: func(out *bytes.Buffer, rec []byte, idx int) (*jsonski.Trace, error) {
 				sp := rsp.StartChild("engine.run")
 				t0 := time.Now()
-				st, err := q.RunExplain(rec, perRecordExplainEvents, queryLine(buf, idx))
+				st, err := q.RunExplain(rec, perRecordExplainEvents, queryLine(out, idx))
 				s.m.recordLatency.Observe(time.Since(t0))
 				s.m.addStats(st)
 				s.finishEngineSpan(sp, idx, st, err)
-				return recResult{idx: idx, out: buf.Bytes(), buf: buf, err: err, trace: st.Trace()}
+				return st.Trace(), err
 			},
 		})
 		return
 	}
 	s.serve(w, r, evaluator{
-		eval: func(rec []byte, idx int) recResult {
-			buf := getLineBuf()
-			sink := &jsonski.StreamSink{W: buf, Prefix: recordPrefix(idx), Suffix: lineSuffix}
+		eval: func(out *bytes.Buffer, rec []byte, idx int) (*jsonski.Trace, error) {
+			sink := &jsonski.StreamSink{W: out, Prefix: recordPrefix(idx), Suffix: lineSuffix}
 			sp := rsp.StartChild("engine.run")
 			t0 := time.Now()
 			var (
@@ -165,7 +146,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.m.recordLatency.Observe(time.Since(t0))
 			s.m.addStats(st)
 			s.finishEngineSpan(sp, idx, st, err)
-			return recResult{idx: idx, out: buf.Bytes(), buf: buf, err: err}
+			return nil, err
 		},
 		single: func(w io.Writer, data []byte, ix *jsonski.Index) error {
 			sink := &jsonski.StreamSink{W: w, Prefix: singlePrefix, Suffix: lineSuffix}
@@ -226,26 +207,24 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 	}
 	rsp := telemetry.SpanFromContext(r.Context())
 	s.serve(w, r, evaluator{
-		eval: func(rec []byte, idx int) recResult {
-			buf := getLineBuf()
+		eval: func(out *bytes.Buffer, rec []byte, idx int) (*jsonski.Trace, error) {
 			sp := rsp.StartChild("engine.run")
 			t0 := time.Now()
-			st, err := qs.Run(rec, multiLine(buf, idx))
+			st, err := qs.Run(rec, multiLine(out, idx))
 			s.m.recordLatency.Observe(time.Since(t0))
 			s.m.addStats(st)
 			s.finishEngineSpan(sp, idx, st, err)
-			return recResult{idx: idx, out: buf.Bytes(), buf: buf, err: err}
+			return nil, err
 		},
-		evalIndexed: func(ix *jsonski.Index, idx int) recResult {
-			buf := getLineBuf()
+		evalIndexed: func(out *bytes.Buffer, ix *jsonski.Index) error {
 			sp := rsp.StartChild("engine.run")
 			sp.SetBool("jsonski.indexed", true)
 			t0 := time.Now()
-			st, err := qs.RunIndexed(ix, multiLine(buf, idx))
+			st, err := qs.RunIndexed(ix, multiLine(out, 0))
 			s.m.recordLatency.Observe(time.Since(t0))
 			s.m.addStats(st)
-			s.finishEngineSpan(sp, idx, st, err)
-			return recResult{idx: idx, out: buf.Bytes(), buf: buf, err: err}
+			s.finishEngineSpan(sp, 0, st, err)
+			return err
 		},
 	})
 }
@@ -351,31 +330,31 @@ func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, body io.Rea
 		s.serveSingleStreaming(w, r, data, ev)
 		return
 	}
-	var res recResult
+	buf := getLineBuf()
+	defer putLineBuf(buf)
+	var trace *jsonski.Trace
 	if !ev.explain && ev.evalIndexed != nil {
 		if ix := s.lookupIndex(telemetry.SpanFromContext(r.Context()), data); ix != nil {
-			res = ev.evalIndexed(ix, 0)
+			err = ev.evalIndexed(buf, ix)
 			ix.Release()
 		} else {
-			res = ev.eval(data, 0)
+			trace, err = ev.eval(buf, data, 0)
 		}
 	} else {
 		// Explain runs bypass the index tiers: the trace should describe
 		// this evaluation's movements, not a cached index's.
-		res = ev.eval(data, 0)
+		trace, err = ev.eval(buf, data, 0)
 	}
-	if res.err != nil {
+	if err != nil {
 		s.m.recordErrors.Add(1)
-		res.release()
-		s.jsonError(w, http.StatusBadRequest, res.err)
+		s.jsonError(w, http.StatusBadRequest, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	s.write(w, res.out)
-	res.release()
+	s.write(w, buf.Bytes())
 	if ev.explain {
 		var trail explainTrail
-		trail.add(0, res.trace)
+		trail.add(0, trace)
 		s.write(w, trail.line())
 	}
 }
@@ -470,154 +449,285 @@ func (s *Server) serveSingleStreaming(w http.ResponseWriter, r *http.Request, da
 	s.flushSink(rsp, bw)
 }
 
-// streamRecords pipelines an NDJSON body through the worker pool with a
-// sliding window of in-flight records: up to `depth` records are being
-// evaluated while earlier results are written back in input order and
-// flushed one record at a time, so the client sees matches for record n
-// while record n+k is still parsing — including clients that trickle
-// records in over a held-open connection. The window, together with the
+// bodyReadSize is what one read of an NDJSON request body asks for, and
+// so the size of a batch — bar a record longer than this, which grows
+// its batch until the record ends.
+const bodyReadSize = 64 << 10
+
+// batch is one pool task of the NDJSON stream path: the complete records
+// that one read of the request body delivered, as sub-slices of the
+// bytes read. A worker evaluates them in order into out; the handler
+// then writes out and flushes once for the whole batch.
+type batch struct {
+	data   []byte           // the bytes read, up to the last newline
+	recs   [][]byte         // the non-blank lines of data, trimmed
+	first  int              // stream-wide index of recs[0]
+	out    bytes.Buffer     // match and error lines, in record order
+	errs   int64            // records whose evaluation failed
+	traces []*jsonski.Trace // per record; non-nil only in explain mode
+	done   chan struct{}    // receives once the worker has run the batch
+}
+
+// batchPool recycles batches — read buffer, record table and output
+// buffer — across requests.
+var batchPool = sync.Pool{New: func() any {
+	return &batch{data: make([]byte, 0, bodyReadSize), done: make(chan struct{}, 1)}
+}}
+
+func getBatch() *batch { return batchPool.Get().(*batch) }
+
+func putBatch(b *batch) {
+	// A batch grown by an over-long record, or whose output grew past
+	// 1 MiB, is dropped rather than pinned in the pool.
+	if cap(b.data) > bodyReadSize || b.out.Cap() > 1<<20 {
+		return
+	}
+	b.data, b.recs = b.data[:0], b.recs[:0]
+	b.out.Reset()
+	b.errs = 0
+	clear(b.traces)
+	b.traces = b.traces[:0]
+	batchPool.Put(b)
+}
+
+// run evaluates the batch's records in order into b.out. A failed
+// record's {"record":n,"error":...} line replaces whatever match lines
+// it had rendered, and evaluation goes on with the next record.
+func (b *batch) run(eval recordEval) {
+	for i, rec := range b.recs {
+		idx := b.first + i
+		mark := b.out.Len()
+		trace, err := eval(&b.out, rec, idx)
+		b.traces = append(b.traces, trace)
+		if err != nil {
+			b.out.Truncate(mark)
+			b.out.Write(errorLine(idx, err))
+			b.errs++
+		}
+	}
+	b.done <- struct{}{}
+}
+
+// readBatches reads an NDJSON body into batches and sends them on out
+// in stream order, closing out when it returns. A batch ends at the last
+// newline of what one read returned; the partial record after it opens
+// the next batch. A read that completes no record is followed by another
+// into the same batch. So a batch never waits for input beyond its last
+// complete record, and a trickling client gets record n's matches before
+// it sends record n+1. At EOF or a read error the bytes left form the
+// last batch, newline or not. It returns the read error (nil at EOF), or
+// ctx's error if the handler stopped taking batches.
+func readBatches(ctx context.Context, body io.Reader, out chan<- *batch) error {
+	defer close(out)
+	idx := 0
+	b := getBatch()
+	for {
+		err := fillBatch(body, b)
+		var next *batch
+		if err == nil {
+			cut := bytes.LastIndexByte(b.data, '\n') + 1
+			next = getBatch()
+			next.data = append(next.data, b.data[cut:]...)
+			b.data = b.data[:cut]
+		}
+		b.recs = appendRecords(b.recs, b.data)
+		b.first = idx
+		idx += len(b.recs)
+		if len(b.recs) == 0 {
+			putBatch(b)
+		} else {
+			select {
+			case out <- b:
+			case <-ctx.Done():
+				putBatch(b)
+				if next != nil {
+					putBatch(next)
+				}
+				return ctx.Err()
+			}
+		}
+		if next == nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+		b = next
+	}
+}
+
+// fillBatch reads into b.data until it holds a newline, doubling the
+// buffer whenever a record fills it. It returns the read error that
+// ended the body (io.EOF at its end), or nil once a record is complete.
+func fillBatch(body io.Reader, b *batch) error {
+	// A carried-over partial record holds no newline.
+	scanned := len(b.data)
+	for {
+		if len(b.data) == cap(b.data) {
+			b.data = slices.Grow(b.data, len(b.data))
+		}
+		n, err := body.Read(b.data[len(b.data):cap(b.data)])
+		b.data = b.data[:len(b.data)+n]
+		if err != nil {
+			return err
+		}
+		if bytes.IndexByte(b.data[scanned:], '\n') >= 0 {
+			return nil
+		}
+		scanned = len(b.data)
+	}
+}
+
+// appendRecords appends the records of data to recs: its lines,
+// whitespace-trimmed, blank ones skipped, as sub-slices of data.
+func appendRecords(recs [][]byte, data []byte) [][]byte {
+	for len(data) > 0 {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
+		if line = bytes.TrimSpace(line); len(line) > 0 {
+			recs = append(recs, line)
+		}
+	}
+	return recs
+}
+
+// streamRecords pipelines an NDJSON body through the worker pool one
+// batch at a time, with a sliding window of in-flight batches: up to
+// `depth` batches are being evaluated while earlier ones are written
+// back in input order, one write and one flush per batch. So the client
+// sees matches for batch n while batch n+k is still parsing — including
+// clients that trickle records in over a held-open connection, whose
+// every record is a batch of its own. The window, together with the
 // pool's bounded queue, is the request's backpressure: reading from the
-// body pauses whenever the window is full.
+// body pauses whenever the window is full. So a request's in-flight
+// input is the window's batches plus the two the reader is filling and
+// handing over, each at most bodyReadSize unless it holds a longer
+// record.
 //
 // NDJSON records are independent, so a malformed record does not abort
 // the stream: it becomes a {"record":n,"error":...} line (counted in
 // /metrics) and evaluation continues with the next record.
 func (s *Server) streamRecords(w http.ResponseWriter, r *http.Request, body io.Reader, ev evaluator) {
-	eval := ev.eval
 	ctx := r.Context()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	rc := http.NewResponseController(w)
 	// HTTP/1 servers assume a handler stops reading the body once it
 	// writes the response; we interleave the two by design (matches for
-	// record n stream back while record n+k is still uploading), which
+	// batch n stream back while batch n+k is still uploading), which
 	// needs full-duplex mode. HTTP/2 is always full duplex; ignore the
 	// not-supported error there.
 	_ = rc.EnableFullDuplex()
 	depth := 2 * s.cfg.Workers
 
 	// The body is read by its own goroutine so the handler can hand a
-	// finished result to the client while the next record is still in
-	// flight on the wire. The goroutine owns r.Body until it sees EOF,
-	// a read error, or ctx done — the handler joins on readDone before
+	// finished batch to the client while the next is still in flight on
+	// the wire. The goroutine owns r.Body until it sees EOF, a read
+	// error, or ctx done — the handler joins on readDone before
 	// returning, so the body is never touched after ServeHTTP exits.
-	lines := make(chan []byte)
+	batches := make(chan *batch)
 	readDone := make(chan error, 1)
-	go func() {
-		defer close(lines)
-		br := bufio.NewReaderSize(body, 64<<10)
-		for {
-			line, err := readLine(br)
-			if len(line) > 0 {
-				select {
-				case lines <- line:
-				case <-ctx.Done():
-					readDone <- ctx.Err()
-					return
-				}
-			}
-			if err == io.EOF {
-				readDone <- nil
-				return
-			}
-			if err != nil {
-				readDone <- err
-				return
-			}
-		}
-	}()
+	go func() { readDone <- readBatches(ctx, body, batches) }()
 
-	window := make([]chan recResult, 0, depth)
-	idx := 0
+	window := make([]*batch, 0, depth)
 	wroteAny := false
-	linesOpen := true
-
-	var trail explainTrail
+	batchesOpen := true
+	var (
+		trail     explainTrail
+		submitErr error
+	)
 	flush := func() { _ = rc.Flush() }
-	writeResult := func(res recResult) {
+	writeBatch := func(b *batch) {
+		defer putBatch(b)
 		if ev.explain {
-			trail.add(res.idx, res.trace)
+			for i, trace := range b.traces {
+				trail.add(b.first+i, trace)
+			}
 		}
-		if res.err != nil {
-			s.m.recordErrors.Add(1)
-			res.release()
-			s.writeErrorLine(w, res.idx, res.err)
-			wroteAny = true
-			flush()
-			return
-		}
-		if len(res.out) > 0 {
-			s.write(w, res.out)
+		s.m.recordErrors.Add(b.errs)
+		s.m.requestErrors.Add(b.errs)
+		if b.out.Len() > 0 {
+			s.write(w, b.out.Bytes())
 			wroteAny = true
 			flush()
 		}
-		res.release()
 	}
 
 loop:
-	for linesOpen || len(window) > 0 {
-		var ready chan recResult
+	for batchesOpen || len(window) > 0 {
+		var ready chan struct{}
 		if len(window) > 0 {
-			ready = window[0]
+			ready = window[0].done
 		}
-		var lineCh chan []byte
-		if linesOpen && len(window) < depth {
-			lineCh = lines
+		var in chan *batch
+		if batchesOpen && len(window) < depth {
+			in = batches
 		}
 		select {
-		case line, ok := <-lineCh:
+		case b, ok := <-in:
 			if !ok {
-				linesOpen = false
+				batchesOpen = false
 				continue
 			}
-			// bufio.ReadBytes hands each line out in a fresh slice, so
-			// records can cross into worker goroutines as-is.
-			rec, i := line, idx
-			idx++
-			ch := make(chan recResult, 1)
-			if err := s.pool.submit(ctx, func() { ch <- eval(rec, i) }); err != nil {
+			if submitErr = s.pool.submit(ctx, func() { b.run(ev.eval) }); submitErr != nil {
+				putBatch(b)
 				break loop
 			}
-			window = append(window, ch)
-		case res := <-ready:
+			window = append(window, b)
+		case <-ready:
+			b := window[0]
 			window = window[1:]
-			writeResult(res)
+			writeBatch(b)
 		case <-ctx.Done():
 			break loop
 		}
 	}
-	// On an early break the reader may be blocked handing us a line;
-	// keep receiving (and discarding) so it can run to EOF or error.
-	for linesOpen {
-		if _, ok := <-lines; !ok {
-			linesOpen = false
-		}
-	}
-	// Drain results still in flight (every submitted task sends exactly
-	// once into its buffered channel), then join the reader.
-	for _, ch := range window {
+	// Every submitted batch runs, even on a closing pool; write the ones
+	// still in flight in order unless the client is gone.
+	for _, b := range window {
+		<-b.done
 		if ctx.Err() == nil {
-			writeResult(<-ch)
+			writeBatch(b)
 		} else {
-			res := <-ch
-			res.release()
+			putBatch(b)
 		}
 	}
-	if err := <-readDone; err != nil {
-		if ctx.Err() != nil {
-			s.m.cancelledReads.Add(1)
-			return
-		}
-		s.requestErrorMidStream(w, wroteAny, err)
-		return
+	if errors.Is(submitErr, errPoolClosed) {
+		// Close ran under a live stream (a shutdown that outlasted its
+		// drain timeout). End with the error, not with a clean EOF that
+		// would pass for a complete answer, and flush it before draining
+		// the body so a client trickling records sees it now.
+		s.streamError(w, wroteAny, http.StatusServiceUnavailable, submitErr)
+		flush()
 	}
-	if ev.explain && ctx.Err() == nil {
+	// On an early break the reader may be blocked handing us a batch;
+	// keep receiving (and dropping) so it can run to EOF or error, then
+	// join it.
+	for batchesOpen {
+		if b, ok := <-batches; ok {
+			putBatch(b)
+		} else {
+			batchesOpen = false
+		}
+	}
+	readErr := <-readDone
+	switch {
+	case errors.Is(submitErr, errPoolClosed):
+		// Already reported.
+	case readErr != nil && ctx.Err() != nil:
+		s.m.cancelledReads.Add(1)
+	case readErr != nil:
+		s.streamError(w, wroteAny, requestStatus(readErr), readErr)
+		flush()
+	case ev.explain && ctx.Err() == nil:
 		// The explain trailer is the stream's last line, present even
 		// when no record produced a match.
 		s.write(w, trail.line())
 		flush()
-		return
-	}
-	if !wroteAny {
+	case !wroteAny:
 		// No record produced a match: still a success, still NDJSON —
 		// just an empty stream.
 		w.WriteHeader(http.StatusOK)
@@ -627,26 +737,27 @@ loop:
 // requestError maps a body-read failure to a status code before any
 // output has been written.
 func (s *Server) requestError(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	s.jsonError(w, status, err)
+	s.jsonError(w, requestStatus(err), err)
 }
 
-// requestErrorMidStream reports a body-read failure that may arrive
-// after match lines have already been streamed; in that case the status
-// line is long gone and the error becomes a trailing NDJSON line.
-func (s *Server) requestErrorMidStream(w http.ResponseWriter, wroteAny bool, err error) {
+// requestStatus is the status code of a body-read failure.
+func requestStatus(err error) int {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// streamError ends an NDJSON stream on an error not tied to one record:
+// a full-status error response while nothing has been written, else a
+// trailing {"error":...} line, the status line being long gone.
+func (s *Server) streamError(w http.ResponseWriter, wroteAny bool, status int, err error) {
 	if !wroteAny {
-		s.requestError(w, err)
+		s.jsonError(w, status, err)
 		return
 	}
 	s.writeErrorLine(w, -1, err)
-	if fl, ok := w.(http.Flusher); ok {
-		fl.Flush()
-	}
 }
 
 // jsonError sends a {"error": ...} response with the given status.
@@ -665,6 +776,12 @@ func (s *Server) jsonError(w http.ResponseWriter, status int, err error) {
 // stream. record is -1 when the error is not tied to one record.
 func (s *Server) writeErrorLine(w http.ResponseWriter, record int, err error) {
 	s.m.requestErrors.Add(1)
+	s.write(w, errorLine(record, err))
+}
+
+// errorLine renders an NDJSON error line; record is -1 when the error is
+// not tied to one record.
+func errorLine(record int, err error) []byte {
 	var line struct {
 		Record *int   `json:"record,omitempty"`
 		Error  string `json:"error"`
@@ -674,12 +791,5 @@ func (s *Server) writeErrorLine(w http.ResponseWriter, record int, err error) {
 	}
 	line.Error = err.Error()
 	b, _ := json.Marshal(line)
-	s.write(w, append(b, '\n'))
-}
-
-// readLine reads one newline-terminated record, trimming whitespace.
-// Lines longer than the reader's buffer are handled by ReadBytes.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadBytes('\n')
-	return bytes.TrimSpace(line), err
+	return append(b, '\n')
 }

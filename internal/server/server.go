@@ -34,10 +34,17 @@
 //	GET  /readyz             readiness probe: 503 once shutdown has begun
 //	                         or while the worker queue is saturated
 //
-// Records of an NDJSON body are fanned out across the worker pool and
-// their results written back in input order, flushed record by record,
-// so a client consuming a long stream sees matches incrementally while
-// later records are still being parsed.
+// An NDJSON body is evaluated in batches: a batch is the complete
+// records that one 64 KiB read of the body delivered (a record longer
+// than that grows its batch until it ends). Batches are fanned out
+// across the worker pool, and each batch's match lines are written back
+// in input order with one flush. A client consuming a long stream sees
+// matches while later batches are still being parsed, and a client
+// that trickles records in gets each record's matches before it sends
+// the next. A request holds at most 2×workers batches in its window,
+// plus the two its reader is filling and handing over, so its in-flight
+// input stays within (2×workers + 2) × 64 KiB; a record longer than
+// 64 KiB adds its own length.
 package server
 
 import (
@@ -58,8 +65,10 @@ type Config struct {
 	// Workers is the number of evaluation goroutines shared by all
 	// requests. 0 means GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds accepted-but-unstarted record evaluations
-	// (backpressure). 0 means 4×Workers.
+	// QueueDepth bounds accepted-but-unstarted evaluation tasks, shared
+	// by all requests (backpressure). A task is one batch of NDJSON
+	// records: what one 64 KiB read of a body delivered. 0 means
+	// 4×Workers.
 	QueueDepth int
 	// CacheSize caps the compiled-query LRU cache. 0 means
 	// jsonski.DefaultCacheSize.

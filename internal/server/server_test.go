@@ -219,6 +219,57 @@ func TestQueryStreamsIncrementally(t *testing.T) {
 	}
 }
 
+// TestMultiStreamsIncrementally is TestQueryStreamsIncrementally over
+// /multi: each trickled record's matches arrive before the next record
+// is sent.
+func TestMultiStreamsIncrementally(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest("POST",
+		ts.URL+"/multi?path="+url.QueryEscape("$.v")+"&path="+url.QueryEscape("$.w"), pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	type res struct {
+		resp *http.Response
+		err  error
+	}
+	done := make(chan res, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		done <- res{resp, err}
+	}()
+	if _, err := io.WriteString(pw, `{"v": 1, "w": "a"}`+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	defer r.resp.Body.Close()
+	sc := bufio.NewScanner(r.resp.Body)
+	for _, want := range []string{`{"record":0,"query":0,"value":1}`, `{"record":0,"query":1,"value":"a"}`} {
+		if !sc.Scan() || sc.Text() != want {
+			t.Fatalf("line = %q (err %v), want %s", sc.Text(), sc.Err(), want)
+		}
+	}
+	// Record 0's matches arrived while the body is still open: record 1
+	// has not even been sent yet.
+	if _, err := io.WriteString(pw, `{"v": 2, "w": "b"}`+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`{"record":1,"query":0,"value":2}`, `{"record":1,"query":1,"value":"b"}`} {
+		if !sc.Scan() || sc.Text() != want {
+			t.Fatalf("line = %q (err %v), want %s", sc.Text(), sc.Err(), want)
+		}
+	}
+	pw.Close()
+	if sc.Scan() {
+		t.Fatalf("unexpected extra line %q", sc.Text())
+	}
+}
+
 func TestQueryClientDisconnectMidStream(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2})
 	pr, pw := io.Pipe()
