@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -73,6 +74,41 @@ func wantLines(t *testing.T, recs []string, multi bool) (string, int) {
 // record indices counted across batches.
 func TestStreamBatchBoundaries(t *testing.T) {
 	long := `{"v":1,"k":"` + strings.Repeat("x", 80<<10) + `"}`
+	// A mixed stream — blank lines, CRLF, malformed records, records of
+	// up to 70 KiB — cut into reads of random length.
+	rng := rand.New(rand.NewSource(1))
+	var (
+		mixed       strings.Builder
+		mixedRecs   []string
+		mixedFailed int
+	)
+	for i := 0; i < 300; i++ {
+		var rec string
+		switch rng.Intn(8) {
+		case 0:
+			mixed.WriteString(" \t\n")
+			continue
+		case 1:
+			rec = `{"v":{"k":`
+			mixedFailed++
+		case 2:
+			rec = fmt.Sprintf(`{"v":%d,"k":"%s"}`, i, strings.Repeat("x", rng.Intn(70<<10)))
+		default:
+			rec = fmt.Sprintf(`{"v":%d,"k":"s%d"}`, i, i)
+		}
+		mixedRecs = append(mixedRecs, rec)
+		mixed.WriteString(rec)
+		if rng.Intn(2) == 0 {
+			mixed.WriteByte('\r')
+		}
+		mixed.WriteByte('\n')
+	}
+	var mixedPieces []string
+	for rest := mixed.String(); len(rest) > 0; {
+		n := min(1+rng.Intn(9000), len(rest))
+		mixedPieces = append(mixedPieces, rest[:n])
+		rest = rest[n:]
+	}
 	cases := []struct {
 		name   string
 		pieces []string // the body, one piece per read
@@ -105,12 +141,15 @@ func TestStreamBatchBoundaries(t *testing.T) {
 			recs:   []string{`{"v":0,"k":"a"}`, `{"v":1,"k":"b"}`},
 		},
 		{
-			name:   "malformed record mid-batch",
-			pieces: []string{`{"v":0,"k":"a"}` + "\n" + `{"v":{"k":` + "\n" + `{"v":2,"k":"c"}` + "\n", `{"v":3,"k":"d"}` + "\n"},
-			recs:   []string{`{"v":0,"k":"a"}`, `{"v":{"k":`, `{"v":2,"k":"c"}`, `{"v":3,"k":"d"}`},
-			failed: 1,
+			// Record 3 matches before it fails: its error line replaces
+			// the match lines it rendered.
+			name:   "malformed records mid-batch",
+			pieces: []string{`{"v":0,"k":"a"}` + "\n" + `{"v":{"k":` + "\n" + `{"v":2,"k":"c"}` + "\n" + `{"v":3,"k":"d",` + "\n", `{"v":4,"k":"e"}` + "\n"},
+			recs:   []string{`{"v":0,"k":"a"}`, `{"v":{"k":`, `{"v":2,"k":"c"}`, `{"v":3,"k":"d",`, `{"v":4,"k":"e"}`},
+			failed: 2,
 		},
 		{name: "empty body"},
+		{name: "mixed stream in random reads", pieces: mixedPieces, recs: mixedRecs, failed: mixedFailed},
 	}
 	s, err := New(Config{Workers: 2})
 	if err != nil {
