@@ -448,7 +448,7 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 
 	p.Header("jsonski_workers", "Evaluation worker goroutines.", "gauge")
 	p.Int("jsonski_workers", nil, int64(snap.Workers.Count))
-	p.Header("jsonski_worker_queue_depth", "Accepted-but-unstarted record evaluations.", "gauge")
+	p.Header("jsonski_worker_queue_depth", "Accepted-but-unstarted evaluation tasks (batches of NDJSON records).", "gauge")
 	p.Int("jsonski_worker_queue_depth", nil, int64(snap.Workers.QueueDepth))
 	p.Header("jsonski_worker_queue_capacity", "Worker queue capacity.", "gauge")
 	p.Int("jsonski_worker_queue_capacity", nil, int64(snap.Workers.QueueCapacity))
