@@ -19,6 +19,8 @@ package jsonski_test
 // 1 GiB). Shapes, not absolute numbers, are the reproduction target.
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -520,7 +522,8 @@ func BenchmarkAblationGroups(b *testing.B) {
 
 // BenchmarkQuerySet compares a shared-pass QuerySet against running its
 // member queries back to back — the multi-query extension built on the
-// paper's fast-forward functions.
+// paper's fast-forward functions. shared-pass is a bench-guard target
+// (see scripts/benchguard.sh).
 func BenchmarkQuerySet(b *testing.B) {
 	data := largeData(b, "tt")
 	exprs := []string{"$[*].text", "$[*].user.id", "$[*].lang"}
@@ -726,6 +729,48 @@ func BenchmarkRunLargeSinkStream(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRunRecordsStream is the per-record path with allocation
+// accounting, over small TT records: query streams NDJSON through
+// RunReaderSink into a StreamSink, which is what the CLI's -records
+// scan runs; set runs a three-path QuerySet over the records with a
+// callback, which is what jsonskid's /multi runs per record. Both are
+// bench-guard targets (see scripts/benchguard.sh).
+func BenchmarkRunRecordsStream(b *testing.B) {
+	q, _ := queries.ByID("TT1")
+	recs := smallData(b, q.Dataset)
+	var ndjson []byte
+	var total int64
+	for _, r := range recs {
+		ndjson = append(append(ndjson, r...), '\n')
+		total += int64(len(r))
+	}
+	b.Run("query", func(b *testing.B) {
+		cq := jsonski.MustCompile(q.Small)
+		sink := jsonski.NewStreamSink(io.Discard)
+		b.SetBytes(int64(len(ndjson)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cq.RunReaderSink(context.Background(), bytes.NewReader(ndjson), sink); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("set", func(b *testing.B) {
+		qs := jsonski.MustCompileSet("$.text", "$.user.id", "$.lang")
+		var matches int64
+		count := func(jsonski.SetMatch) { matches++ }
+		b.SetBytes(total)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := qs.RunRecords(recs, count); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkRunLargeExplain is the same workload with the trace enabled,

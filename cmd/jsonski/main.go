@@ -232,25 +232,44 @@ func runWithStore(ctx context.Context, q *jsonski.Query, in io.Reader, records b
 
 // runIndexed evaluates over an index: one window per record span when a
 // record table is present (each window borrows the whole-corpus masks),
-// the whole document otherwise.
+// the whole document otherwise. Per-record runs leave the sink
+// unflushed, so a record run writes its output once, at the end.
 func runIndexed(q *jsonski.Query, ix *jsonski.Index, spans []jsonski.Span, records bool, sink jsonski.Sink) (jsonski.Stats, error) {
 	if !records || len(spans) == 0 {
 		return q.RunIndexedSink(ix, sink)
 	}
-	var total jsonski.Stats
+	perRecord := sink
+	if sink != nil {
+		perRecord = noFlush{sink}
+	}
+	var (
+		total jsonski.Stats
+		err   error
+	)
 	for i, sp := range spans {
-		st, err := q.RunIndexedWindowSink(ix, int(sp.Start), int(sp.End), sink)
+		st, rerr := q.RunIndexedWindowSink(ix, int(sp.Start), int(sp.End), perRecord)
 		total.Matches += st.Matches
 		total.InputBytes += st.InputBytes
 		for g := range total.SkippedBytes {
 			total.SkippedBytes[g] += st.SkippedBytes[g]
 		}
-		if err != nil {
-			return total, fmt.Errorf("record %d: %w", i, err)
+		if rerr != nil {
+			err = fmt.Errorf("record %d: %w", i, rerr)
+			break
 		}
 	}
-	return total, nil
+	if sink != nil {
+		if ferr := sink.Flush(); err == nil {
+			err = ferr
+		}
+	}
+	return total, err
 }
+
+// noFlush hides a sink's Flush from the per-record runs of runIndexed.
+type noFlush struct{ jsonski.Sink }
+
+func (noFlush) Flush() error { return nil }
 
 // printStats renders the fast-forward accounting block to stderr, shared
 // by the query and -get paths.

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"jsonski"
 )
 
 func TestRunOnFile(t *testing.T) {
@@ -119,6 +122,48 @@ func TestRunSaveLoadIndexRecords(t *testing.T) {
 	}
 	if err := run(ctx, "$.v", "", true, true, true, 1, false, "", side, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// flushCounter is a flushable writer that counts its flushes: on stdout
+// each one is a write(2).
+type flushCounter struct {
+	bytes.Buffer
+	flushes int
+}
+
+func (f *flushCounter) Flush() error { f.flushes++; return nil }
+
+// TestRunIndexedFlushesOnce drives a record run over a loaded sidecar:
+// every record's matches arrive, and the output is flushed once for the
+// whole run, not once per record.
+func TestRunIndexedFlushesOnce(t *testing.T) {
+	data := []byte("{\"v\":1}\n{\"v\":2}\n{\"v\":3}\n")
+	side := filepath.Join(t.TempDir(), "in.jski")
+	built := jsonski.BuildIndex(data)
+	err := jsonski.SaveIndex(side, built, jsonski.RecordSpans(data))
+	built.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, spans, err := jsonski.LoadIndex(side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Release()
+	if len(spans) != 3 {
+		t.Fatalf("sidecar holds %d records, want 3", len(spans))
+	}
+	var out flushCounter
+	st, err := runIndexed(jsonski.MustCompile("$.v"), ix, spans, true, jsonski.NewStreamSink(&out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Matches != 3 || out.String() != "1\n2\n3\n" {
+		t.Fatalf("matches %d, output %q", st.Matches, out.String())
+	}
+	if out.flushes != 1 {
+		t.Fatalf("flushed %d times, want once per run", out.flushes)
 	}
 }
 

@@ -476,41 +476,118 @@ func TestRecordEntryPointsAgreeWithDOM(t *testing.T) {
 	}
 }
 
-// TestQuerySetReaderAgreesWithDOMPerQuery runs a multi-expression
-// QuerySet through RunRecords and RunReaderContext and compares each
-// member query's matches with its own DOM baseline run.
+// TestQuerySetReaderAgreesWithDOMPerQuery runs multi-expression
+// QuerySets through every QuerySet entry point and compares each
+// member's matches with the DOM baseline. The first set puts sidecar
+// members (a filter, a union, a negative index) before and between the
+// shared ones, so a reader that skipped sidecars or reported shared
+// matches under engine positions instead of set positions fails here;
+// the second set has no shared member at all.
 func TestQuerySetReaderAgreesWithDOMPerQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(90210))
-	exprs := []string{"$.a", "$.items[*]", "$[*].id", "$.b[*].c"}
 	records, ndjson := genRecords(t, rng, 30)
-	want := make([][]recMatch, len(exprs))
-	for qi, expr := range exprs {
-		want[qi] = domRecordMatches(t, expr, records)
-	}
-	qs, err := jsonski.CompileSet(exprs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(label string, eval func(fn func(jsonski.SetMatch)) error) {
-		got := make([][]recMatch, len(exprs))
-		if err := eval(func(m jsonski.SetMatch) {
-			got[m.Query] = append(got[m.Query], recMatch{rec: m.Record, val: canonical(t, m.Value)})
-		}); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
+	for _, exprs := range [][]string{
+		{"$.items[?@.a]", "$.a", "$['v','a']", "$.items[*]", "$[*].id", "$.items[-1]", "$.b[*].c"},
+		{"$.items[?@.a]", "$['v','a']", "$.items[-1]"},
+	} {
+		want := make([][]recMatch, len(exprs))
 		for qi, expr := range exprs {
-			sameRecMatches(t, label+" "+expr, got[qi], want[qi])
+			want[qi] = domRecordMatches(t, expr, records)
+		}
+		qs, err := jsonski.CompileSet(exprs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		run := func(label string, eval func(fn func(jsonski.SetMatch)) error) {
+			got := make([][]recMatch, len(exprs))
+			if err := eval(func(m jsonski.SetMatch) {
+				got[m.Query] = append(got[m.Query], recMatch{rec: m.Record, val: canonical(t, m.Value)})
+			}); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for qi, expr := range exprs {
+				sameRecMatches(t, label+" "+expr, got[qi], want[qi])
+			}
+		}
+		// perRecord drives a single-record entry point over each record,
+		// restoring the record index the entry point does not know.
+		perRecord := func(eval func(rec []byte, fn func(jsonski.SetMatch)) error) func(func(jsonski.SetMatch)) error {
+			return func(fn func(jsonski.SetMatch)) error {
+				for i, rec := range records {
+					if err := eval(rec, func(m jsonski.SetMatch) {
+						m.Record = i
+						fn(m)
+					}); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+		}
+		run("QuerySet.RunRecords", func(fn func(jsonski.SetMatch)) error {
+			_, err := qs.RunRecords(records, fn)
+			return err
+		})
+		run("QuerySet.RunReaderContext", func(fn func(jsonski.SetMatch)) error {
+			_, err := qs.RunReaderContext(context.Background(), bytes.NewReader(ndjson), fn)
+			return err
+		})
+		run("QuerySet.RunReader", func(fn func(jsonski.SetMatch)) error {
+			_, err := qs.RunReader(bytes.NewReader(ndjson), fn)
+			return err
+		})
+		run("QuerySet.Run", perRecord(func(rec []byte, fn func(jsonski.SetMatch)) error {
+			_, err := qs.Run(rec, fn)
+			return err
+		}))
+		run("QuerySet.RunIndexed", perRecord(func(rec []byte, fn func(jsonski.SetMatch)) error {
+			ix := jsonski.BuildIndex(rec)
+			defer ix.Release()
+			_, err := qs.RunIndexed(ix, fn)
+			return err
+		}))
+
+		// The flat sink entry points carry no member index: they must
+		// deliver the attributed run's values in the same order, and
+		// Counts its per-member totals.
+		for i, rec := range records {
+			var attributed []string
+			counts := make([]int64, len(exprs))
+			if _, err := qs.Run(rec, func(m jsonski.SetMatch) {
+				attributed = append(attributed, string(m.Value))
+				counts[m.Query]++
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var flat, flatIx jsonski.BufferSink
+			if _, err := qs.RunSink(rec, &flat); err != nil {
+				t.Fatalf("QuerySet.RunSink record %d: %v", i, err)
+			}
+			ix := jsonski.BuildIndex(rec)
+			_, err := qs.RunIndexedSink(ix, &flatIx)
+			ix.Release()
+			if err != nil {
+				t.Fatalf("QuerySet.RunIndexedSink record %d: %v", i, err)
+			}
+			for _, sink := range []jsonski.BufferSink{flat, flatIx} {
+				var vals []string
+				for _, v := range sink.Values {
+					vals = append(vals, string(v))
+				}
+				if fmt.Sprint(vals) != fmt.Sprint(attributed) {
+					t.Fatalf("%v record %d: sink run %q, callback run %q", exprs, i, vals, attributed)
+				}
+			}
+			got, err := qs.Counts(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(counts) {
+				t.Fatalf("%v record %d: Counts %v, callback run %v", exprs, i, got, counts)
+			}
 		}
 	}
-	run("QuerySet.RunRecords", func(fn func(jsonski.SetMatch)) error {
-		_, err := qs.RunRecords(records, fn)
-		return err
-	})
-	run("QuerySet.RunReaderContext", func(fn func(jsonski.SetMatch)) error {
-		_, err := qs.RunReaderContext(context.Background(), bytes.NewReader(ndjson), fn)
-		return err
-	})
 }
 
 // TestIndexedEntryPointsAgree pins the borrowed-index entry points to

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"jsonski/internal/core"
 	"jsonski/internal/fastforward"
 	"jsonski/internal/telemetry"
 )
@@ -67,22 +66,7 @@ func (t *Trace) Dump(w io.Writer) {
 // differs, so a slow query can be re-run verbatim to see why it moved
 // the way it did.
 func (q *Query) RunExplain(data []byte, maxEvents int, fn func(Match)) (Stats, error) {
-	e := q.pool.Get().(runner)
-	defer q.pool.Put(e)
-	tr := telemetry.NewTrace(maxEvents)
-	e.SetTrace(tr)
-	defer e.SetTrace(nil)
-	var emit core.EmitFunc
-	if fn != nil {
-		emit = func(s, en int) {
-			fn(Match{Start: s, End: en, Value: data[s:en]})
-		}
-	}
-	st, err := e.Run(data, emit)
-	var out Stats
-	out.add(st)
-	out.trace = publicTrace(tr)
-	return out, err
+	return q.RunSinkExplain(data, fnSink(fn), maxEvents)
 }
 
 // RunSinkExplain is RunSink in explain mode: matches stream into sink
@@ -92,33 +76,21 @@ func (q *Query) RunExplain(data []byte, maxEvents int, fn func(Match)) (Stats, e
 // requests: the movement log becomes span events without disturbing the
 // streaming output path.
 func (q *Query) RunSinkExplain(data []byte, sink Sink, maxEvents int) (Stats, error) {
-	e := q.pool.Get().(runner)
-	defer q.pool.Put(e)
-	tr := telemetry.NewTrace(maxEvents)
-	e.SetTrace(tr)
-	defer e.SetTrace(nil)
-	sr := newSinkRun(sink)
-	st, err := e.Run(data, sr.bind(0, data))
-	var out Stats
-	out.add(st)
-	out.trace = publicTrace(tr)
-	return out, sr.finish(err)
+	return single(input{data: data}, explainRun(sink, maxEvents), q.eval)
 }
 
 // RunIndexedSinkExplain is RunIndexedSink in explain mode. The index
 // must stay alive (not finally Released) for the duration of the call.
 func (q *Query) RunIndexedSinkExplain(ix *Index, sink Sink, maxEvents int) (Stats, error) {
-	e := q.pool.Get().(runner)
-	defer q.pool.Put(e)
-	tr := telemetry.NewTrace(maxEvents)
-	e.SetTrace(tr)
-	defer e.SetTrace(nil)
+	return single(indexed(ix, 0, ix.Len()), explainRun(sink, maxEvents), q.eval)
+}
+
+// explainRun is newSinkRun for an explain run recording up to maxEvents
+// fast-forward movements.
+func explainRun(sink Sink, maxEvents int) *sinkRun {
 	sr := newSinkRun(sink)
-	st, err := e.RunIndexed(ix.ix, sr.bind(0, ix.Data()))
-	var out Stats
-	out.add(st)
-	out.trace = publicTrace(tr)
-	return out, sr.finish(err)
+	sr.trace = telemetry.NewTrace(maxEvents)
+	return sr
 }
 
 // publicTrace converts the internal event log to the exported form.

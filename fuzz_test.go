@@ -2,9 +2,11 @@ package jsonski_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -280,7 +282,63 @@ func FuzzDifferential(f *testing.F) {
 				expr, data, rendered.Bytes(), streamed.Bytes())
 		}
 		compareMatches(t, "buffered sink vs callback", expr, data, sunk, lazy)
+
+		// The pool query in a set beside a shared member: its filter,
+		// union and deferred forms ride the sidecar path. Every set entry
+		// point must give each member its own single-query matches. The
+		// reader sees the document as one line: in valid JSON a raw
+		// newline is always whitespace, so turning it into a space keeps
+		// every value, up to its own whitespace.
+		members := []string{expr, "$.a"}
+		solo := [][]string{lazy, nil}
+		if _, err := jsonski.MustCompile("$.a").Run(data, func(m jsonski.Match) {
+			solo[1] = append(solo[1], string(bytes.TrimSpace(m.Value)))
+		}); err != nil {
+			t.Fatalf("engine $.a over %q: %v", data, err)
+		}
+		qs := jsonski.MustCompileSet(members...)
+		line := bytes.ReplaceAll(data, []byte("\n"), []byte(" "))
+		ix = jsonski.BuildIndex(data)
+		defer ix.Release()
+		for _, ep := range []struct {
+			name string
+			run  func(fn func(jsonski.SetMatch)) (jsonski.Stats, error)
+		}{
+			{"Run", func(fn func(jsonski.SetMatch)) (jsonski.Stats, error) { return qs.Run(data, fn) }},
+			{"RunIndexed", func(fn func(jsonski.SetMatch)) (jsonski.Stats, error) { return qs.RunIndexed(ix, fn) }},
+			{"RunRecords", func(fn func(jsonski.SetMatch)) (jsonski.Stats, error) {
+				return qs.RunRecords([][]byte{data}, fn)
+			}},
+			{"RunReaderContext", func(fn func(jsonski.SetMatch)) (jsonski.Stats, error) {
+				return qs.RunReaderContext(context.Background(), bytes.NewReader(line), fn)
+			}},
+		} {
+			got := make([][]string, len(members))
+			if _, err := ep.run(func(m jsonski.SetMatch) {
+				got[m.Query] = append(got[m.Query], string(bytes.TrimSpace(m.Value)))
+			}); err != nil {
+				t.Fatalf("QuerySet.%s %q over %q: %v", ep.name, members, data, err)
+			}
+			for qi, member := range members {
+				want := solo[qi]
+				if ep.name == "RunReaderContext" {
+					want = oneLine(want)
+					got[qi] = oneLine(got[qi])
+				}
+				compareMatches(t, "QuerySet."+ep.name+" vs single-query Run", member, data, got[qi], want)
+			}
+		}
 	})
+}
+
+// oneLine turns the raw newlines of each value into spaces, as the
+// reader leg of FuzzDifferential does to its document.
+func oneLine(vals []string) []string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = strings.ReplaceAll(v, "\n", " ")
+	}
+	return out
 }
 
 // keysClean reports whether no object key in the tree contains a

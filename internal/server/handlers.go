@@ -112,41 +112,39 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// was sampled or force-collected); eval closures hang per-record
 	// engine spans off it from pool workers, which StartChild permits.
 	rsp := telemetry.SpanFromContext(r.Context())
-	if explainRequested(r) {
-		s.serve(w, r, evaluator{
-			explain: true,
-			eval: func(out *bytes.Buffer, rec []byte, idx int) (*jsonski.Trace, error) {
-				sp := rsp.StartChild("engine.run")
-				t0 := time.Now()
-				st, err := q.RunExplain(rec, perRecordExplainEvents, queryLine(out, idx))
-				s.m.recordLatency.Observe(time.Since(t0))
-				s.m.addStats(st)
-				s.finishEngineSpan(sp, idx, st, err)
-				return st.Trace(), err
-			},
-		})
-		return
-	}
+	explain := explainRequested(r)
 	s.serve(w, r, evaluator{
+		explain: explain,
 		eval: func(out *bytes.Buffer, rec []byte, idx int) (*jsonski.Trace, error) {
 			sink := &jsonski.StreamSink{W: out, Prefix: recordPrefix(idx), Suffix: lineSuffix}
 			sp := rsp.StartChild("engine.run")
+			// Explain requests trace every record for the trailer; a
+			// sampled span gets its movement log as span events. Same
+			// engine, same output either way.
+			events := 0
+			switch {
+			case explain:
+				events = perRecordExplainEvents
+			case sp.Recording():
+				events = spanTraceEvents
+			}
 			t0 := time.Now()
 			var (
 				st  jsonski.Stats
 				err error
 			)
-			if sp.Recording() {
-				// Sampled: the explain-sink run records the movement log
-				// that becomes the span's events. Same engine, same output.
-				st, err = q.RunSinkExplain(rec, sink, spanTraceEvents)
+			if events > 0 {
+				st, err = q.RunSinkExplain(rec, sink, events)
 			} else {
 				st, err = q.RunSink(rec, sink)
 			}
 			s.m.recordLatency.Observe(time.Since(t0))
 			s.m.addStats(st)
 			s.finishEngineSpan(sp, idx, st, err)
-			return nil, err
+			if !explain {
+				return nil, err
+			}
+			return st.Trace(), err
 		},
 		single: func(w io.Writer, data []byte, ix *jsonski.Index) error {
 			sink := &jsonski.StreamSink{W: w, Prefix: singlePrefix, Suffix: lineSuffix}
@@ -173,17 +171,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return err
 		},
 	})
-}
-
-// queryLine renders each /query match as an NDJSON line into buf.
-func queryLine(buf *bytes.Buffer, idx int) func(jsonski.Match) {
-	return func(m jsonski.Match) {
-		buf.WriteString(`{"record":`)
-		buf.WriteString(strconv.Itoa(idx))
-		buf.WriteString(`,"value":`)
-		buf.Write(m.Value)
-		buf.WriteString("}\n")
-	}
 }
 
 func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {

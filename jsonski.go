@@ -32,9 +32,7 @@
 package jsonski
 
 import (
-	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"jsonski/internal/automaton"
 	"jsonski/internal/core"
@@ -144,14 +142,27 @@ func (s *Stats) merge(o Stats) {
 	}
 }
 
-// runner is the common face of the evaluation engines: the DFA engine
-// with full fast-forwarding for linear paths, and the NFA engine for
-// paths containing the descendant operator.
+// runner is the common face of the single-query engines: the DFA engine
+// with full fast-forwarding for linear paths, the NFA engine for paths
+// containing the descendant operator, and the segmented engine for
+// deferred selectors. A whole index is the window [0, Len).
 type runner interface {
 	Run(data []byte, emit core.EmitFunc) (core.Stats, error)
-	RunIndexed(ix *stream.Index, emit core.EmitFunc) (core.Stats, error)
 	RunIndexedWindow(ix *stream.Index, lo, hi int, emit core.EmitFunc) (core.Stats, error)
 	SetTrace(t *telemetry.Trace)
+}
+
+// input is one record to evaluate: a buffer, or the [lo, hi) window of
+// an index's buffer, in which case data is the whole buffer.
+type input struct {
+	data   []byte
+	ix     *Index
+	lo, hi int
+}
+
+// indexed is the input of the [lo, hi) window of ix's buffer.
+func indexed(ix *Index, lo, hi int) input {
+	return input{data: ix.Data(), ix: ix, lo: lo, hi: hi}
 }
 
 // Query is a compiled JSONPath expression. It is immutable and safe for
@@ -214,6 +225,42 @@ func MustCompile(expr string) *Query {
 // String returns the source expression.
 func (q *Query) String() string { return q.path.String() }
 
+// eval is the one per-record evaluation of a Query: a pooled engine runs
+// over in, delivering spans through sr, which the caller has begun on
+// the record, and recording sr's explain trace, if any.
+func (q *Query) eval(in input, sr *sinkRun) (Stats, error) {
+	e := q.pool.Get().(runner)
+	defer q.pool.Put(e)
+	if sr.trace != nil {
+		e.SetTrace(sr.trace)
+		defer e.SetTrace(nil)
+	}
+	var st core.Stats
+	var err error
+	if in.ix == nil {
+		st, err = e.Run(in.data, sr.emit())
+	} else {
+		st, err = e.RunIndexedWindow(in.ix.ix, in.lo, in.hi, sr.emit())
+	}
+	var out Stats
+	out.add(st)
+	if sr.trace != nil {
+		out.trace = publicTrace(sr.trace)
+	}
+	return out, err
+}
+
+// evalFunc is a per-record evaluation: Query.eval or QuerySet.eval.
+type evalFunc func(in input, sr *sinkRun) (Stats, error)
+
+// single is the body of every single-record entry point: it evaluates
+// in as record 0 into sr and finishes the run.
+func single(in input, sr *sinkRun, eval evalFunc) (Stats, error) {
+	sr.begin(0, in.data)
+	st, err := eval(in, sr)
+	return st, sr.finish(err)
+}
+
 // Run streams a single JSON record (or buffer holding one record),
 // invoking fn for every match in document order. fn may be nil to only
 // count matches.
@@ -226,13 +273,7 @@ func (q *Query) Run(data []byte, fn func(Match)) (Stats, error) {
 // may be nil to only count matches. A sink error stops delivery but not
 // evaluation; it is returned unless the engine itself failed.
 func (q *Query) RunSink(data []byte, sink Sink) (Stats, error) {
-	e := q.pool.Get().(runner)
-	defer q.pool.Put(e)
-	sr := newSinkRun(sink)
-	st, err := e.Run(data, sr.bind(0, data))
-	var out Stats
-	out.add(st)
-	return out, sr.finish(err)
+	return single(input{data: data}, newSinkRun(sink), q.eval)
 }
 
 // RunIndexed is Run over a prebuilt structural index of the buffer: the
@@ -248,13 +289,7 @@ func (q *Query) RunIndexed(ix *Index, fn func(Match)) (Stats, error) {
 // buffer. The index must stay alive (not finally Released) for the
 // duration of the call.
 func (q *Query) RunIndexedSink(ix *Index, sink Sink) (Stats, error) {
-	e := q.pool.Get().(runner)
-	defer q.pool.Put(e)
-	sr := newSinkRun(sink)
-	st, err := e.RunIndexed(ix.ix, sr.bind(0, ix.Data()))
-	var out Stats
-	out.add(st)
-	return out, sr.finish(err)
+	return q.RunIndexedWindowSink(ix, 0, ix.Len(), sink)
 }
 
 // RunIndexedWindow evaluates the query over the [lo, hi) byte window of
@@ -271,13 +306,7 @@ func (q *Query) RunIndexedWindow(ix *Index, lo, hi int, fn func(Match)) (Stats, 
 
 // RunIndexedWindowSink is RunIndexedWindow delivering into a Sink.
 func (q *Query) RunIndexedWindowSink(ix *Index, lo, hi int, sink Sink) (Stats, error) {
-	e := q.pool.Get().(runner)
-	defer q.pool.Put(e)
-	sr := newSinkRun(sink)
-	st, err := e.RunIndexedWindow(ix.ix, lo, hi, sr.bind(0, ix.Data()))
-	var out Stats
-	out.add(st)
-	return out, sr.finish(err)
+	return single(indexed(ix, lo, hi), newSinkRun(sink), q.eval)
 }
 
 // Count returns the number of matches in data.
@@ -299,21 +328,7 @@ func (q *Query) RunRecords(records [][]byte, fn func(Match)) (Stats, error) {
 // records (the output destination is broken); an engine error is wrapped
 // with the index of the offending record.
 func (q *Query) RunRecordsSink(records [][]byte, sink Sink) (Stats, error) {
-	e := q.pool.Get().(runner)
-	defer q.pool.Put(e)
-	sr := newSinkRun(sink)
-	var out Stats
-	for i, rec := range records {
-		st, err := e.Run(rec, sr.bind(i, rec))
-		out.add(st)
-		if err != nil {
-			return out, sr.finish(wrapRecordErr(i, err))
-		}
-		if sr.err != nil {
-			return out, sr.finish(nil)
-		}
-	}
-	return out, sr.finish(nil)
+	return serial(sliceSource(records), newSinkRun(sink), q.eval)
 }
 
 // RunRecordsParallel processes independent records with `workers`
@@ -323,53 +338,7 @@ func (q *Query) RunRecordsSink(records [][]byte, sink Sink) (Stats, error) {
 // record sizes still balance. The first error, if any, is returned after
 // all workers drain.
 func (q *Query) RunRecordsParallel(records [][]byte, workers int, fn func(Match)) (Stats, error) {
-	if workers <= 1 || len(records) <= 1 {
-		return q.RunRecords(records, fn)
-	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		accum   core.StatsAccum
-		errOnce sync.Once
-		outErr  error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e := q.pool.Get().(runner)
-			defer q.pool.Put(e)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(records) {
-					break
-				}
-				rec := records[i]
-				var emit core.EmitFunc
-				if fn != nil {
-					emit = func(s, en int) {
-						fn(Match{Start: s, End: en, Value: rec[s:en], Record: i})
-					}
-				}
-				st, err := e.Run(rec, emit)
-				accum.Add(st)
-				if err != nil {
-					errOnce.Do(func() { outErr = wrapRecordErr(i, err) })
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	var out Stats
-	out.add(accum.Load())
-	return out, outErr
-}
-
-// wrapRecordErr tags an engine error with the index of the record that
-// produced it, so callers of the multi-record entry points can report
-// which line of an NDJSON input is malformed.
-func wrapRecordErr(record int, err error) error {
-	return fmt.Errorf("record %d: %w", record, err)
+	return q.parallel(sliceSource(records), workers, fn)
 }
 
 // All collects every match into a slice of copied values. Convenient for
@@ -392,24 +361,7 @@ func (q *Query) All(data []byte) ([][]byte, error) {
 // Queries whose shape cannot be split this way (descendant paths, pure
 // child paths, wildcard-child prefixes) fall back to the serial engine.
 func (q *Query) RunParallel(data []byte, workers int, fn func(Match)) (Stats, error) {
-	if q.aut == nil || workers <= 1 {
-		// descendant paths have no automaton; serial evaluation
-		return q.Run(data, fn)
-	}
-	pe, err := core.NewParallelEngine(q.path, workers)
-	if err != nil {
-		return q.Run(data, fn)
-	}
-	var emit core.EmitFunc
-	if fn != nil {
-		emit = func(s, en int) {
-			fn(Match{Start: s, End: en, Value: data[s:en]})
-		}
-	}
-	st, err := pe.Run(data, emit)
-	var out Stats
-	out.add(st)
-	return out, err
+	return q.speculate(input{data: data}, workers, fn)
 }
 
 // RunParallelIndexed is RunParallel over a prebuilt structural index.
@@ -419,22 +371,33 @@ func (q *Query) RunParallel(data []byte, workers int, fn func(Match)) (Stats, er
 // re-scans — and each worker's shard evaluation borrows the same masks.
 // fn may be called concurrently, and match order is unspecified.
 func (q *Query) RunParallelIndexed(ix *Index, workers int, fn func(Match)) (Stats, error) {
-	if q.aut == nil || workers <= 1 {
-		return q.RunIndexed(ix, fn)
+	return q.speculate(indexed(ix, 0, ix.Len()), workers, fn)
+}
+
+// speculate evaluates one large record with the speculative parallel
+// engine, or with eval when there is one worker or the query's shape
+// cannot be split (descendant and deferred paths have no automaton).
+// The parallel engine delivers spans from several goroutines at once,
+// which the callback sink permits: its Span never fails and only reads.
+func (q *Query) speculate(in input, workers int, fn func(Match)) (Stats, error) {
+	var pe *core.ParallelEngine
+	if q.aut != nil && workers > 1 {
+		pe, _ = core.NewParallelEngine(q.path, workers)
 	}
-	pe, err := core.NewParallelEngine(q.path, workers)
-	if err != nil {
-		return q.RunIndexed(ix, fn)
-	}
-	data := ix.Data()
-	var emit core.EmitFunc
-	if fn != nil {
-		emit = func(s, en int) {
-			fn(Match{Start: s, End: en, Value: data[s:en]})
+	eval := evalFunc(q.eval)
+	if pe != nil {
+		eval = func(in input, sr *sinkRun) (Stats, error) {
+			var st core.Stats
+			var err error
+			if in.ix == nil {
+				st, err = pe.Run(in.data, sr.emit())
+			} else {
+				st, err = pe.RunIndexed(in.ix.ix, sr.emit())
+			}
+			var out Stats
+			out.add(st)
+			return out, err
 		}
 	}
-	st, err := pe.RunIndexed(ix.ix, emit)
-	var out Stats
-	out.add(st)
-	return out, err
+	return single(in, newSinkRun(fnSink(fn)), eval)
 }

@@ -95,47 +95,33 @@ type SetMatch struct {
 	Match
 }
 
-// runShared evaluates the shared traversal over one record, remapping
-// engine query positions to set positions. No-op when every query is a
-// sidecar.
-func (qs *QuerySet) runShared(data []byte, ix *Index, emit core.MultiEmitFunc) (Stats, error) {
+// eval is the one per-record evaluation of a QuerySet: the shared pass
+// over the sharable members, then one pass per sidecar member, all
+// delivering through sr (begun on the record) under set positions. A set
+// has no window entry point, so an indexed input is always the whole
+// index.
+func (qs *QuerySet) eval(in input, sr *sinkRun) (Stats, error) {
 	var out Stats
-	if len(qs.auts) == 0 {
-		return out, nil
-	}
-	e := qs.pool.Get().(*core.MultiEngine)
-	defer qs.pool.Put(e)
-	var st core.Stats
-	var err error
-	if ix != nil {
-		st, err = e.RunIndexed(ix.ix, emit)
-	} else {
-		st, err = e.Run(data, emit)
-	}
-	out.add(st)
-	return out, err
-}
-
-// runSide evaluates the sidecar queries over one record, delivering each
-// query's spans through emit with that query's set position.
-func (qs *QuerySet) runSide(data []byte, ix *Index, emit core.MultiEmitFunc) (Stats, error) {
-	var out Stats
-	for _, sq := range qs.side {
-		e := sq.q.pool.Get().(runner)
-		var fn core.EmitFunc
-		if emit != nil {
-			idx := sq.idx
-			fn = func(s, en int) { emit(idx, s, en) }
-		}
+	if len(qs.auts) > 0 {
+		e := qs.pool.Get().(*core.MultiEngine)
+		sr.remap = qs.autIdx
 		var st core.Stats
 		var err error
-		if ix != nil {
-			st, err = e.RunIndexed(ix.ix, fn)
+		if in.ix == nil {
+			st, err = e.Run(in.data, sr.emitShared())
 		} else {
-			st, err = e.Run(data, fn)
+			st, err = e.RunIndexed(in.ix.ix, sr.emitShared())
 		}
-		sq.q.pool.Put(e)
+		qs.pool.Put(e)
 		out.add(st)
+		if err != nil {
+			return out, err
+		}
+	}
+	for _, sq := range qs.side {
+		sr.query = sq.idx
+		st, err := sq.q.eval(in, sr)
+		out.merge(st)
 		if err != nil {
 			return out, err
 		}
@@ -143,36 +129,14 @@ func (qs *QuerySet) runSide(data []byte, ix *Index, emit core.MultiEmitFunc) (St
 	return out, nil
 }
 
-// runAll is the common body of the single-record entry points.
-func (qs *QuerySet) runAll(data []byte, ix *Index, emit core.MultiEmitFunc) (Stats, error) {
-	out, err := qs.runShared(data, ix, emit)
-	if err != nil {
-		return out, err
-	}
-	side, err := qs.runSide(data, ix, emit)
-	out.merge(side)
-	return out, err
-}
-
-// remapEmit converts a SetMatch callback into the engine-facing emit,
-// translating shared-pass query positions into set positions. Sidecar
-// deliveries arrive with the set position already (runSide passes it),
-// so the translation table covers both: positions < len(auts) belong to
-// the shared pass only when the caller is the shared engine — runSide
-// bypasses this by calling fn directly.
-func (qs *QuerySet) remapEmit(data []byte, record int, fn func(SetMatch)) (shared, side core.MultiEmitFunc) {
+// setFnRun starts a run delivering to fn; a nil fn only counts.
+func setFnRun(fn func(SetMatch)) *sinkRun {
 	if fn == nil {
-		return nil, nil
+		return newSinkRun(nil)
 	}
-	shared = func(query, s, en int) {
-		fn(SetMatch{Query: qs.autIdx[query],
-			Match: Match{Start: s, End: en, Value: data[s:en], Record: record}})
-	}
-	side = func(query, s, en int) {
-		fn(SetMatch{Query: query,
-			Match: Match{Start: s, End: en, Value: data[s:en], Record: record}})
-	}
-	return shared, side
+	c := &callbackSink{setFn: fn}
+	c.run = newSinkRun(c)
+	return c.run
 }
 
 // Run evaluates all queries over one record, invoking fn for every match
@@ -180,14 +144,7 @@ func (qs *QuerySet) remapEmit(data []byte, record int, fn func(SetMatch)) (share
 // queries (filters, descendants, deferred selectors) follow, each in
 // document order.
 func (qs *QuerySet) Run(data []byte, fn func(SetMatch)) (Stats, error) {
-	shared, side := qs.remapEmit(data, 0, fn)
-	out, err := qs.runShared(data, nil, shared)
-	if err != nil {
-		return out, err
-	}
-	st, err := qs.runSide(data, nil, side)
-	out.merge(st)
-	return out, err
+	return single(input{data: data}, setFnRun(fn), qs.eval)
 }
 
 // RunIndexed is Run over a prebuilt structural index of the buffer: the
@@ -197,15 +154,7 @@ func (qs *QuerySet) Run(data []byte, fn func(SetMatch)) (Stats, error) {
 // index must stay alive (not finally Released) for the duration of the
 // call.
 func (qs *QuerySet) RunIndexed(ix *Index, fn func(SetMatch)) (Stats, error) {
-	data := ix.Data()
-	shared, side := qs.remapEmit(data, 0, fn)
-	out, err := qs.runShared(data, ix, shared)
-	if err != nil {
-		return out, err
-	}
-	st, err := qs.runSide(data, ix, side)
-	out.merge(st)
-	return out, err
+	return single(indexed(ix, 0, ix.Len()), setFnRun(fn), qs.eval)
 }
 
 // RunSink evaluates all queries over one record, delivering every match
@@ -214,18 +163,14 @@ func (qs *QuerySet) RunIndexed(ix *Index, fn func(SetMatch)) (Stats, error) {
 // the output modes where the queries' results interleave into one stream
 // (e.g. NDJSON out). sink may be nil to only count matches.
 func (qs *QuerySet) RunSink(data []byte, sink Sink) (Stats, error) {
-	sr := newSetSinkRun(sink)
-	out, err := qs.runAll(data, nil, sr.bind(0, data))
-	return out, sr.finish(err)
+	return single(input{data: data}, newSinkRun(sink), qs.eval)
 }
 
 // RunIndexedSink is RunSink over a prebuilt structural index of the
 // buffer. The index must stay alive (not finally Released) for the
 // duration of the call.
 func (qs *QuerySet) RunIndexedSink(ix *Index, sink Sink) (Stats, error) {
-	sr := newSetSinkRun(sink)
-	out, err := qs.runAll(ix.Data(), ix, sr.bind(0, ix.Data()))
-	return out, sr.finish(err)
+	return single(indexed(ix, 0, ix.Len()), newSinkRun(sink), qs.eval)
 }
 
 // RunRecords evaluates all queries over a sequence of independent JSON
@@ -233,21 +178,7 @@ func (qs *QuerySet) RunIndexedSink(ix *Index, sink Sink) (Stats, error) {
 // every match of every query. SetMatch.Record carries the record index.
 // Engine errors are wrapped with the index of the offending record.
 func (qs *QuerySet) RunRecords(records [][]byte, fn func(SetMatch)) (Stats, error) {
-	var out Stats
-	for i, rec := range records {
-		shared, side := qs.remapEmit(rec, i, fn)
-		st, err := qs.runShared(rec, nil, shared)
-		out.merge(st)
-		if err != nil {
-			return out, wrapRecordErr(i, err)
-		}
-		st, err = qs.runSide(rec, nil, side)
-		out.merge(st)
-		if err != nil {
-			return out, wrapRecordErr(i, err)
-		}
-	}
-	return out, nil
+	return serial(sliceSource(records), setFnRun(fn), qs.eval)
 }
 
 // Counts returns the number of matches per query.

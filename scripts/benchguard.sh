@@ -27,6 +27,17 @@
 #                                 Every hop is a G1-G5 movement, so this
 #                                 doubles as a guard on the Navigator's
 #                                 dispatch overhead
+#   BenchmarkRunRecordsStream/query
+#                               — the per-record path: NDJSON through
+#                                 RunReaderSink into a StreamSink (what
+#                                 the CLI's -records scan runs)
+#   BenchmarkRunRecordsStream/set
+#                               — a three-path QuerySet over small
+#                                 records (what jsonskid's /multi runs
+#                                 per record)
+#   BenchmarkQuerySet/shared-pass
+#                               — a QuerySet's shared pass over one
+#                                 large record
 #
 # A benchmark absent from the base file is skipped, not failed: it did
 # not exist at the base commit. Both files must be produced on the SAME
@@ -62,7 +73,9 @@ mean() {
 fail=0
 for bench in BenchmarkRunLarge BenchmarkRunLargeSinkStream \
              BenchmarkRunFilterSkip BenchmarkRunFilterFullParse \
-             BenchmarkOnDemandGet; do
+             BenchmarkOnDemandGet \
+             BenchmarkRunRecordsStream/query BenchmarkRunRecordsStream/set \
+             BenchmarkQuerySet/shared-pass; do
     head_mean=$(mean "$head_file" "$bench")
     if [ -z "$head_mean" ]; then
         echo "$bench: no samples in $head_file" >&2

@@ -2,8 +2,10 @@ package jsonski
 
 import (
 	"io"
+	"sync"
 
 	"jsonski/internal/core"
+	"jsonski/internal/telemetry"
 )
 
 // Sink consumes the spans a run selects. It replaces ad-hoc callback
@@ -165,10 +167,13 @@ func (t teeSink) Flush() error {
 	return first
 }
 
-// callbackSink adapts the func(Match) callback entry points onto the
-// sink path, so every Run* flows through one output mechanism.
+// callbackSink adapts the callback entry points onto the sink path, so
+// every Run* flows through one output mechanism. QuerySet runs set setFn
+// instead of fn, and run, which knows the member each span belongs to.
 type callbackSink struct {
 	fn     func(Match)
+	setFn  func(SetMatch)
+	run    *sinkRun
 	data   []byte
 	record int
 }
@@ -176,7 +181,12 @@ type callbackSink struct {
 func (c *callbackSink) Begin(record int, data []byte) { c.record, c.data = record, data }
 
 func (c *callbackSink) Span(start, end int) error {
-	c.fn(Match{Start: start, End: end, Value: c.data[start:end], Record: c.record})
+	m := Match{Start: start, End: end, Value: c.data[start:end], Record: c.record}
+	if c.setFn != nil {
+		c.setFn(SetMatch{Query: c.run.query, Match: m})
+	} else {
+		c.fn(m)
+	}
 	return nil
 }
 
@@ -191,32 +201,61 @@ func fnSink(fn func(Match)) Sink {
 	return &callbackSink{fn: fn}
 }
 
-// sinkRun latches a sink onto an engine run: it adapts Sink.Span to the
-// engine's span callback, records the sink's first error without
+// sinkRun is the output side of one run. It adapts Sink.Span to the
+// engines' span callbacks, latches the sink's first error without
 // aborting the engine mid-record, and settles Flush/error precedence at
-// the end.
+// the end. It also carries an explain run's movement log and, for a
+// QuerySet run, the set position of the spans being delivered. Runs are
+// pooled with their span callbacks bound, so starting one allocates
+// nothing.
 type sinkRun struct {
-	sink Sink
-	err  error
-	emit core.EmitFunc
+	sink  Sink
+	err   error
+	trace *telemetry.Trace // explain runs only
+	query int              // QuerySet runs: set position of the spans being delivered
+	remap []int            // QuerySet runs: set position of each shared-pass query
+
+	deliverFn core.EmitFunc      // sr.deliver
+	sharedFn  core.MultiEmitFunc // sr.deliverShared
 }
 
+var sinkRuns = sync.Pool{New: func() any {
+	sr := new(sinkRun)
+	sr.deliverFn, sr.sharedFn = sr.deliver, sr.deliverShared
+	return sr
+}}
+
+// newSinkRun starts a run into sink; a nil sink only counts. finish
+// ends the run and returns it to the pool.
 func newSinkRun(sink Sink) *sinkRun {
-	sr := &sinkRun{sink: sink}
-	if sink != nil {
-		sr.emit = sr.deliver
-	}
+	sr := sinkRuns.Get().(*sinkRun)
+	sr.sink = sink
 	return sr
 }
 
-// bind starts the next record, returning the engine emit callback (nil
-// for a nil sink, keeping the engine's no-output fast path).
-func (sr *sinkRun) bind(record int, data []byte) core.EmitFunc {
+// begin starts record `record`, whose bytes are data.
+func (sr *sinkRun) begin(record int, data []byte) {
+	if sr.sink != nil {
+		sr.sink.Begin(record, data)
+	}
+}
+
+// emit is the single-query engines' span callback: nil for a nil sink,
+// keeping the engines' no-output fast path.
+func (sr *sinkRun) emit() core.EmitFunc {
 	if sr.sink == nil {
 		return nil
 	}
-	sr.sink.Begin(record, data)
-	return sr.emit
+	return sr.deliverFn
+}
+
+// emitShared is emit for the shared pass of a QuerySet, whose engine
+// reports each span's position among the shared queries.
+func (sr *sinkRun) emitShared() core.MultiEmitFunc {
+	if sr.sink == nil {
+		return nil
+	}
+	return sr.sharedFn
 }
 
 func (sr *sinkRun) deliver(start, end int) {
@@ -228,9 +267,14 @@ func (sr *sinkRun) deliver(start, end int) {
 	}
 }
 
-// finish flushes the sink and merges errors: the engine's error wins
-// (it describes the input), then the sink's first write error, then
-// Flush's.
+func (sr *sinkRun) deliverShared(query, start, end int) {
+	sr.query = sr.remap[query]
+	sr.deliver(start, end)
+}
+
+// finish flushes the sink, merges errors — the engine's error wins (it
+// describes the input), then the sink's first write error, then
+// Flush's — and returns the run to the pool.
 func (sr *sinkRun) finish(engineErr error) error {
 	err := engineErr
 	if err == nil {
@@ -241,52 +285,7 @@ func (sr *sinkRun) finish(engineErr error) error {
 			err = ferr
 		}
 	}
-	return err
-}
-
-// setSinkRun is sinkRun for QuerySet runs: the engine reports a query
-// index per span, which the flat Sink contract drops (use the callback
-// entry points when per-query attribution matters).
-type setSinkRun struct {
-	sink Sink
-	err  error
-	emit core.MultiEmitFunc
-}
-
-func newSetSinkRun(sink Sink) *setSinkRun {
-	sr := &setSinkRun{sink: sink}
-	if sink != nil {
-		sr.emit = sr.deliver
-	}
-	return sr
-}
-
-func (sr *setSinkRun) bind(record int, data []byte) core.MultiEmitFunc {
-	if sr.sink == nil {
-		return nil
-	}
-	sr.sink.Begin(record, data)
-	return sr.emit
-}
-
-func (sr *setSinkRun) deliver(_, start, end int) {
-	if sr.err != nil {
-		return
-	}
-	if err := sr.sink.Span(start, end); err != nil {
-		sr.err = err
-	}
-}
-
-func (sr *setSinkRun) finish(engineErr error) error {
-	err := engineErr
-	if err == nil {
-		err = sr.err
-	}
-	if sr.sink != nil {
-		if ferr := sr.sink.Flush(); err == nil {
-			err = ferr
-		}
-	}
+	*sr = sinkRun{deliverFn: sr.deliverFn, sharedFn: sr.sharedFn}
+	sinkRuns.Put(sr)
 	return err
 }
