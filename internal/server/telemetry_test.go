@@ -511,6 +511,43 @@ func TestExplainTrailerBounded(t *testing.T) {
 	}
 }
 
+// TestExplainTrailerPerRecordCap pins the per-record explain cap: a
+// record with more movements than perRecordExplainEvents contributes
+// exactly that many events and reports the rest as dropped, and the
+// next record still gets its own.
+func TestExplainTrailerPerRecordCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	// Every attribute but v has an object value: one skip each.
+	var big strings.Builder
+	big.WriteString(`{`)
+	for i := 0; i < 2*perRecordExplainEvents; i++ {
+		fmt.Fprintf(&big, `"k%d": {"x": %d}, `, i, i)
+	}
+	big.WriteString(`"v": 1}`)
+	body := big.String() + "\n" + `{"a": {"b": 1}, "v": 2}` + "\n"
+	code, out := post(t, ts.URL+"/query?path="+url.QueryEscape("$.v")+"&explain=1",
+		"application/x-ndjson", body)
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	var trailer explainTrailerLine
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &trailer); err != nil || trailer.Explain == nil {
+		t.Fatalf("no trailer: %q", lines[len(lines)-1])
+	}
+	perRecord := map[int]int{}
+	for _, e := range trailer.Explain.Events {
+		perRecord[e.Record]++
+	}
+	if perRecord[0] != perRecordExplainEvents || perRecord[1] == 0 {
+		t.Fatalf("events per record %v, want %d for record 0 and some for record 1",
+			perRecord, perRecordExplainEvents)
+	}
+	if trailer.Explain.Dropped < perRecordExplainEvents {
+		t.Fatalf("dropped %d, want at least %d", trailer.Explain.Dropped, perRecordExplainEvents)
+	}
+}
+
 // --- concurrency -----------------------------------------------------
 
 // TestConcurrentQueryAndScrape hammers /query, /metrics, and
