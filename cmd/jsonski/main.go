@@ -16,10 +16,14 @@
 // Malformed input exits non-zero with the offending record named;
 // Ctrl-C cancels cleanly between records.
 //
+// A single document, given as a file or redirected to stdin, is read
+// into one buffer sized to the file; a pipe is read as it comes.
+//
 // -save-index persists the input's structural index (document bytes,
 // bitmaps, and — with -records — the per-record table) as a checksummed
-// sidecar after evaluating; -load-index evaluates against such a
-// sidecar instead of an input file, memory-mapping the prebuilt masks:
+// sidecar once the evaluation succeeds; -load-index evaluates against
+// such a sidecar instead of an input file, memory-mapping the prebuilt
+// masks:
 //
 //	jsonski -q '$.a' -save-index file.jski file.json
 //	jsonski -q '$.b' -load-index file.jski
@@ -79,6 +83,10 @@ func main() {
 	}
 }
 
+// stdoutSize is the stdout buffer: the Linux pipe size, so a large result
+// leaves in pipe-sized write(2) calls instead of 4 KiB ones.
+const stdoutSize = 64 << 10
+
 func run(ctx context.Context, query, get string, countOnly, showStats, records bool, workers int, explain bool, saveIx, loadIx string, args []string) error {
 	if get != "" {
 		if query != "" {
@@ -111,22 +119,15 @@ func run(ctx context.Context, query, get string, countOnly, showStats, records b
 	if err != nil {
 		return err
 	}
-	var in io.Reader
-	switch len(args) {
-	case 0:
-		in = os.Stdin
-	case 1:
-		f, err := os.Open(args[0])
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
-	default:
-		return fmt.Errorf("expected at most one input file, got %d", len(args))
+	in, err := openInput(args)
+	if err != nil {
+		return err
+	}
+	if in != os.Stdin {
+		defer in.Close()
 	}
 
-	out := bufio.NewWriter(os.Stdout)
+	out := bufio.NewWriterSize(os.Stdout, stdoutSize)
 	// Matched values stream from the input buffer straight to stdout; the
 	// mutex-guarded callback form exists only for the parallel record
 	// path, where matches arrive from several goroutines.
@@ -160,11 +161,7 @@ func run(ctx context.Context, query, get string, countOnly, showStats, records b
 		}
 	} else {
 		var data []byte
-		data, err = io.ReadAll(bufio.NewReader(in))
-		if err != nil {
-			return fmt.Errorf("reading input: %w", err)
-		}
-		if err := ctx.Err(); err != nil {
+		if data, err = readInput(ctx, in); err != nil {
 			return err
 		}
 		if explain {
@@ -201,8 +198,9 @@ func run(ctx context.Context, query, get string, countOnly, showStats, records b
 // runWithStore handles the sidecar entry points: -load-index evaluates
 // the document (or per-record windows) embedded in a mapped sidecar;
 // -save-index slurps the input, evaluates it through a freshly built
-// index, and persists that index for later -load-index runs.
-func runWithStore(ctx context.Context, q *jsonski.Query, in io.Reader, records bool, saveIx, loadIx string, sink jsonski.Sink) (jsonski.Stats, error) {
+// index, and, only if that succeeds, persists the index for later
+// -load-index runs, so malformed input leaves no sidecar behind.
+func runWithStore(ctx context.Context, q *jsonski.Query, in *os.File, records bool, saveIx, loadIx string, sink jsonski.Sink) (jsonski.Stats, error) {
 	if loadIx != "" {
 		ix, spans, err := jsonski.LoadIndex(loadIx)
 		if err != nil {
@@ -211,11 +209,8 @@ func runWithStore(ctx context.Context, q *jsonski.Query, in io.Reader, records b
 		defer ix.Release()
 		return runIndexed(q, ix, spans, records, sink)
 	}
-	data, err := io.ReadAll(bufio.NewReader(in))
+	data, err := readInput(ctx, in)
 	if err != nil {
-		return jsonski.Stats{}, fmt.Errorf("reading input: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
 		return jsonski.Stats{}, err
 	}
 	var spans []jsonski.Span
@@ -224,10 +219,14 @@ func runWithStore(ctx context.Context, q *jsonski.Query, in io.Reader, records b
 	}
 	ix := jsonski.BuildIndex(data)
 	defer ix.Release()
-	if err := jsonski.SaveIndex(saveIx, ix, spans); err != nil {
-		return jsonski.Stats{}, fmt.Errorf("saving index: %w", err)
+	st, err := runIndexed(q, ix, spans, records, sink)
+	if err != nil {
+		return st, err
 	}
-	return runIndexed(q, ix, spans, records, sink)
+	if err := jsonski.SaveIndex(saveIx, ix, spans); err != nil {
+		return st, fmt.Errorf("saving index: %w", err)
+	}
+	return st, nil
 }
 
 // runIndexed evaluates over an index: one window per record span when a
@@ -316,22 +315,15 @@ func runGet(ctx context.Context, path string, showStats, explain bool, loadIx st
 		defer ix.Release()
 		doc = jsonski.OpenIndexed(ix)
 	} else {
-		var in io.Reader = os.Stdin
-		if len(args) == 1 {
-			f, err := os.Open(args[0])
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			in = f
-		} else if len(args) > 1 {
-			return fmt.Errorf("expected at most one input file, got %d", len(args))
-		}
-		data, err := io.ReadAll(bufio.NewReader(in))
+		in, err := openInput(args)
 		if err != nil {
-			return fmt.Errorf("reading input: %w", err)
+			return err
 		}
-		if err := ctx.Err(); err != nil {
+		if in != os.Stdin {
+			defer in.Close()
+		}
+		data, err := readInput(ctx, in)
+		if err != nil {
 			return err
 		}
 		doc = jsonski.Open(data)
@@ -357,4 +349,49 @@ func runGet(ctx context.Context, path string, showStats, explain bool, loadIx st
 		printStats(st, elapsed)
 	}
 	return nil
+}
+
+// openInput opens the input args names: the one file given, or stdin.
+func openInput(args []string) (*os.File, error) {
+	switch len(args) {
+	case 0:
+		return os.Stdin, nil
+	case 1:
+		return os.Open(args[0])
+	}
+	return nil, fmt.Errorf("expected at most one input file, got %d", len(args))
+}
+
+// readInput reads the whole of a single-document input, for the query,
+// -save-index and -get paths (-records streams instead). A regular file,
+// given as a path or redirected to stdin, is read into one buffer sized
+// by Stat, as os.ReadFile does: the input is allocated and copied once,
+// where io.ReadAll's growth copies it several times and lets the GC run
+// while it reads. A pipe or terminal falls back to io.ReadAll.
+func readInput(ctx context.Context, in *os.File) ([]byte, error) {
+	data, err := readAll(in)
+	if err != nil {
+		return nil, fmt.Errorf("reading input: %w", err)
+	}
+	return data, ctx.Err()
+}
+
+func readAll(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil || !fi.Mode().IsRegular() {
+		return io.ReadAll(f)
+	}
+	data := make([]byte, fi.Size())
+	n, err := io.ReadFull(f, data)
+	switch err {
+	case nil:
+		// Full: the file may have grown since Stat (or reports size 0,
+		// as /proc files do). At EOF this costs one read and 512 bytes.
+		rest, err := io.ReadAll(f)
+		return append(data, rest...), err
+	case io.EOF, io.ErrUnexpectedEOF:
+		// Short: the file shrank, or stdin was not at its start.
+		return data[:n], nil
+	}
+	return nil, err
 }

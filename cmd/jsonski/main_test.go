@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -224,5 +227,214 @@ func TestRunGet(t *testing.T) {
 	}
 	if err := run(ctx, "", "a.b[", false, false, false, 1, false, "", "", []string{f}); err == nil {
 		t.Fatal("malformed path should error")
+	}
+}
+
+// TestRunSaveIndexMalformedLeavesNoSidecar pins the -save-index order:
+// the input is evaluated first and persisted only on success, so
+// malformed or empty input fails without writing a sidecar.
+func TestRunSaveIndexMalformedLeavesNoSidecar(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, in string
+		records  bool
+	}{
+		{"malformed", `{"a": {"b": `, false},
+		{"empty", "", false},
+		{"malformed-record", "{\"a\": 1}\n{\"a\": {\"b\": \n", true},
+	} {
+		f := filepath.Join(dir, tc.name+".json")
+		side := filepath.Join(dir, tc.name+".jski")
+		if err := os.WriteFile(f, []byte(tc.in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run(ctx, "$.a.b", "", false, false, tc.records, 1, false, side, "", []string{f})
+		if err == nil || !strings.Contains(err.Error(), "query failed") {
+			t.Errorf("%s: err = %v, want a query failure", tc.name, err)
+		}
+		if _, err := os.Stat(side); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: sidecar left behind after a failed evaluation (stat: %v)", tc.name, err)
+		}
+	}
+}
+
+// inputKinds are the three ways the CLI gets one input file: as a path
+// argument, as stdin redirected from the file, and as stdin from a pipe.
+var inputKinds = []string{"path", "stdin-file", "stdin-pipe"}
+
+// runOnInput calls the CLI with the file at path fed in the given way,
+// and returns what it printed on stdout.
+func runOnInput(t *testing.T, kind, path string, call func(args []string) error) (string, error) {
+	t.Helper()
+	stdout, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdout.Close()
+	oldIn, oldOut := os.Stdin, os.Stdout
+	defer func() { os.Stdin, os.Stdout = oldIn, oldOut }()
+	os.Stdout = stdout
+
+	var args []string
+	switch kind {
+	case "path":
+		args = []string{path}
+	case "stdin-file":
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		os.Stdin = f
+	case "stdin-pipe":
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			w.Write(data) // fails only if the reader gave up; run's error says why
+			w.Close()
+		}()
+		defer func() { r.Close(); <-wrote }()
+		os.Stdin = r
+	}
+	runErr := call(args)
+	out, err := os.ReadFile(stdout.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
+// TestRunInputKindsGiveSameOutput feeds one document to -q, -get and
+// -save-index as a path, as redirected stdin and through a pipe: the
+// sized read and the pipe's fallback must print byte-identical output
+// and write identical sidecars. The document and its output both exceed
+// a pipe's 64 KiB, so the pipe is read in several pieces and stdout is
+// flushed more than once.
+func TestRunInputKindsGiveSameOutput(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	var doc strings.Builder
+	doc.WriteString(`{"items": [`)
+	for i := 0; i < 3000; i++ {
+		if i > 0 {
+			doc.WriteString(", ")
+		}
+		fmt.Fprintf(&doc, `{"id": %d, "tags": [1, 2, 3], "name": "item %04d %s"}`, i, i, strings.Repeat("x", 32))
+	}
+	doc.WriteString(`], "a": {"b": 7}}`)
+	f := filepath.Join(dir, "in.json")
+	if err := os.WriteFile(f, []byte(doc.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ops := []struct {
+		name string
+		call func(kind string, args []string) error
+	}{
+		{"query", func(_ string, args []string) error {
+			return run(ctx, "$.items[*].name", "", false, false, false, 1, false, "", "", args)
+		}},
+		{"get", func(_ string, args []string) error {
+			return run(ctx, "", "items[2999].name", false, false, false, 1, false, "", "", args)
+		}},
+		{"save-index", func(kind string, args []string) error {
+			side := filepath.Join(dir, kind+".jski")
+			return run(ctx, "$.items[*].id", "", false, false, false, 1, false, side, "", args)
+		}},
+	}
+	for _, op := range ops {
+		var want string
+		for _, kind := range inputKinds {
+			got, err := runOnInput(t, kind, f, func(args []string) error { return op.call(kind, args) })
+			if err != nil {
+				t.Fatalf("%s over %s: %v", op.name, kind, err)
+			}
+			if kind == inputKinds[0] {
+				want = got
+				if len(want) == 0 {
+					t.Fatalf("%s over %s printed nothing", op.name, kind)
+				}
+				continue
+			}
+			if got != want {
+				t.Errorf("%s over %s printed %d bytes, over %s %d bytes", op.name, kind, len(got), inputKinds[0], len(want))
+			}
+		}
+	}
+	want, err := os.ReadFile(filepath.Join(dir, inputKinds[0]+".jski"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range inputKinds[1:] {
+		got, err := os.ReadFile(filepath.Join(dir, kind+".jski"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("sidecar from %s differs from the one from %s", kind, inputKinds[0])
+		}
+	}
+
+	// An empty input fails in the engine whichever way it arrives; a
+	// directory fails the read.
+	empty := filepath.Join(dir, "empty.json")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		for _, kind := range inputKinds {
+			_, err := runOnInput(t, kind, empty, func(args []string) error { return op.call("empty-"+kind, args) })
+			if err == nil || !strings.Contains(err.Error(), "core: empty input") {
+				t.Errorf("%s over empty %s: err = %v", op.name, kind, err)
+			}
+		}
+		for _, kind := range inputKinds[:2] {
+			_, err := runOnInput(t, kind, dir, func(args []string) error { return op.call("dir-"+kind, args) })
+			if err == nil || !strings.Contains(err.Error(), "reading input:") {
+				t.Errorf("%s over a directory as %s: err = %v", op.name, kind, err)
+			}
+		}
+	}
+}
+
+// TestReadInputAllocatesOnce pins the sized read: over a 2 MiB regular
+// file readInput allocates the input once, plus at most a page for the
+// EOF probe and bookkeeping. io.ReadAll's growth allocates about five
+// times the input.
+func TestReadInputAllocatesOnce(t *testing.T) {
+	const size = 2 << 20
+	path := filepath.Join(t.TempDir(), "in.json")
+	if err := os.WriteFile(path, bytes.Repeat([]byte{' '}, size), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// A GC cycle the read triggered would charge the runtime's own
+	// allocations (mark workers, sweep bookkeeping) to the read.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	data, err := readInput(context.Background(), f)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != size {
+		t.Fatalf("read %d bytes, want %d", len(data), size)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > size+4<<10 {
+		t.Fatalf("reading %d bytes allocated %d bytes, want at most %d", size, alloc, size+4<<10)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"jsonski"
 	"jsonski/internal/queries"
 	"jsonski/internal/telemetry"
+	"jsonski/internal/traceexport"
 )
 
 // traceRow is one tracing mode of the overhead experiment: the same
@@ -111,10 +112,10 @@ func (h *harness) trace(jsonOut string) {
 	var baseNs int64
 	for _, m := range modes {
 		var tracer *telemetry.Tracer
-		var exp *telemetry.Exporter
+		var exp *traceexport.Exporter
 		if m.name == "sampled" || m.name == "always" {
 			tracer = telemetry.NewTracer(telemetry.TracerConfig{SampleRatio: m.ratio})
-			exp, err = telemetry.NewExporter(tracer, telemetry.ExporterConfig{
+			exp, err = traceexport.New(tracer, traceexport.Config{
 				FilePath: filepath.Join(tmp, m.name+".ndjson"),
 			})
 			must(err)

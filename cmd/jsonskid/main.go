@@ -35,6 +35,7 @@ import (
 
 	"jsonski/internal/server"
 	"jsonski/internal/telemetry"
+	"jsonski/internal/traceexport"
 )
 
 func main() {
@@ -87,7 +88,7 @@ func main() {
 	}
 	// Tracing turns on only when a sink exists: a tracer without an
 	// exporter would fill its ring and count drops for nothing.
-	var exporter *telemetry.Exporter
+	var exporter *traceexport.Exporter
 	if *traceOut != "" || *traceFile != "" {
 		tracer := telemetry.NewTracer(telemetry.TracerConfig{
 			SampleRatio: *traceSample,
@@ -95,7 +96,7 @@ func main() {
 			// collected so they can be exported after the fact.
 			ForceCollect: *slowQuery > 0,
 		})
-		exporter, err = telemetry.NewExporter(tracer, telemetry.ExporterConfig{
+		exporter, err = traceexport.New(tracer, traceexport.Config{
 			Endpoint: *traceOut,
 			FilePath: *traceFile,
 			Service:  "jsonskid",
@@ -153,7 +154,7 @@ func newLogger(level string) (*slog.Logger, error) {
 // requests (bounded by the drain timeout), stop the shared worker pool,
 // and finally close the trace exporter (which performs one last ring
 // drain, so spans of the final requests still reach the sinks).
-func serve(ctx context.Context, ln net.Listener, cfg server.Config, drain time.Duration, logger *slog.Logger, exporter *telemetry.Exporter) error {
+func serve(ctx context.Context, ln net.Listener, cfg server.Config, drain time.Duration, logger *slog.Logger, exporter *traceexport.Exporter) error {
 	s, err := server.New(cfg)
 	if err != nil {
 		if exporter != nil {

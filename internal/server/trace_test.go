@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"jsonski/internal/telemetry"
+	"jsonski/internal/traceexport"
 )
 
 // otlpWire mirrors the slice of the OTLP/JSON export body these tests
@@ -101,7 +102,7 @@ func TestTraceEndToEndOTLP(t *testing.T) {
 	defer cts.Close()
 
 	tracer := telemetry.NewTracer(telemetry.TracerConfig{SampleRatio: 1})
-	exporter, err := telemetry.NewExporter(tracer, telemetry.ExporterConfig{
+	exporter, err := traceexport.New(tracer, traceexport.Config{
 		Endpoint: cts.URL,
 		Service:  "jsonskid-test",
 		Interval: 5 * time.Millisecond,
@@ -239,7 +240,7 @@ func TestTraceHammerStalledExporter(t *testing.T) {
 		SampleRatio: 1,
 		RingSize:    16, // tiny ring so the stall overflows it fast
 	})
-	exporter, err := telemetry.NewExporter(tracer, telemetry.ExporterConfig{
+	exporter, err := traceexport.New(tracer, traceexport.Config{
 		Endpoint: cts.URL,
 		Interval: time.Millisecond,
 		Timeout:  50 * time.Millisecond,

@@ -48,9 +48,9 @@ func Write(path string, ix *stream.Index, spans []Span) error {
 	if len(spans) > 0 {
 		sections = append(sections, pad(h.rowsOff+int64(len(rows)), h.recsOff), recs)
 	}
-	sum := uint32(0)
+	sum, tab := uint32(0), castagnoli()
 	for _, s := range sections {
-		sum = crc32.Update(sum, castagnoli, s)
+		sum = crc32.Update(sum, tab, s)
 	}
 	h.sumPayload = sum
 
@@ -151,7 +151,7 @@ func Open(path string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if got := crc32.Checksum(m.b[pageSize:], castagnoli); got != hdr.sumPayload {
+	if got := crc32.Checksum(m.b[pageSize:], castagnoli()); got != hdr.sumPayload {
 		return nil, fmt.Errorf("store: %s: payload checksum mismatch (stored %08x, computed %08x)",
 			path, hdr.sumPayload, got)
 	}

@@ -1,8 +1,11 @@
 // Package telemetry is the daemon's dependency-free observability
 // toolkit: lock-free log-bucketed latency histograms, a bounded
 // fast-forward trace log for explain mode, a Prometheus text-exposition
-// writer, and build-info introspection. Everything here is standard
-// library only, matching the module's zero-dependency go.mod.
+// writer, build-info introspection, and request spans with their
+// tracer. Everything here is standard library only, matching the
+// module's zero-dependency go.mod, and nothing here imports net/http:
+// the library, and so the jsonski CLI, links this package, while the
+// span exporter that POSTs to a collector lives in internal/traceexport.
 package telemetry
 
 import (

@@ -146,10 +146,10 @@ func EncodeOTLP(spans []*Span, service string) []byte {
 	return b
 }
 
-// encodeSpanLine renders one span as a single NDJSON line (no trailing
-// newline) for the local file sink: the same otlpSpan object, one per
-// line, so the file greps and jq-slurps without assembling batches.
-func encodeSpanLine(sp *Span) []byte {
+// EncodeSpanLine renders one span as a single NDJSON line (no trailing
+// newline) for the exporter's file sink: the same otlpSpan object, one
+// per line, so the file greps and jq-slurps without assembling batches.
+func EncodeSpanLine(sp *Span) []byte {
 	b, _ := json.Marshal(otlpFromSpan(sp))
 	return b
 }

@@ -184,6 +184,35 @@ func (t *Tracer) finish(spans []*Span, export, forced bool) {
 	}
 }
 
+// Drain empties the ring in batches of at most n spans and hands each
+// batch to export, which writes it to the exporter's sinks and returns
+// how many of those writes failed. Drain counts the batches, their spans
+// and the failed writes, so Stats covers the exporter too. export must
+// not keep the slice, which the next batch reuses. Drain is meant for a
+// single exporter goroutine; it does nothing on a nil tracer.
+func (t *Tracer) Drain(n int, export func(batch []*Span) (failed int)) {
+	if t == nil {
+		return
+	}
+	batch := make([]*Span, 0, n)
+	for {
+		batch = batch[:0]
+		for len(batch) < n {
+			sp, ok := t.ring.TryPop()
+			if !ok {
+				break
+			}
+			batch = append(batch, sp)
+		}
+		if len(batch) == 0 {
+			return
+		}
+		t.exportBatches.Add(1)
+		t.exportedSpans.Add(int64(len(batch)))
+		t.exportErrors.Add(int64(export(batch)))
+	}
+}
+
 // TracerStats is a point-in-time snapshot of the tracing pipeline's
 // counters, exporter side included.
 type TracerStats struct {
