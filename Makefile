@@ -43,6 +43,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz '^FuzzOnDemandDifferential$$' -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz '^FuzzStoreRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/store
+	go test -run '^$$' -fuzz '^FuzzNDJSONFraming$$' -fuzztime $(FUZZTIME) ./internal/ndjson
 
 # bench-smoke mirrors the CI bench-smoke job: the perf ledger under
 # bench/ is its own module outside go.work, so it is vetted and tested

@@ -259,6 +259,34 @@ func TestRunSaveIndexMalformedLeavesNoSidecar(t *testing.T) {
 	}
 }
 
+// TestRunRecordsSaveIndexSameOutput runs -records with and without
+// -save-index over records edged by a Unicode space (U+0085): the reader
+// and the sidecar's record table frame the same records, so both print
+// the same bytes.
+func TestRunRecordsSaveIndexSameOutput(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	f := filepath.Join(dir, "in.ndjson")
+	if err := os.WriteFile(f, []byte("\u0085{\"a\":1}\n{\"a\":2}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := runOnInput(t, "path", f, func(args []string) error {
+		return run(ctx, "$.a", "", false, false, true, 1, false, "", "", args)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, err := runOnInput(t, "path", f, func(args []string) error {
+		return run(ctx, "$.a", "", false, false, true, 1, false, filepath.Join(dir, "in.jski"), "", args)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if streamed != "1\n2\n" || saved != streamed {
+		t.Fatalf("-records printed %q, -records -save-index %q; want \"1\\n2\\n\" from both", streamed, saved)
+	}
+}
+
 // inputKinds are the three ways the CLI gets one input file: as a path
 // argument, as stdin redirected from the file, and as stdin from a pipe.
 var inputKinds = []string{"path", "stdin-file", "stdin-pipe"}

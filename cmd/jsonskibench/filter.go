@@ -35,9 +35,9 @@ type filterSummary struct {
 	// should beat both the full-parse plan and the DOM baseline, and
 	// its fast-forward ratio should stay high — rejected candidates
 	// are consumed by the same movement a skip would use.
-	MinSkipFFRatio    float64 `json:"min_skip_ff_ratio"`
-	SkipBeatsDomLowSel bool   `json:"skip_beats_dom_at_low_selectivity"`
-	SkipBeatsFullParse bool   `json:"skip_beats_fullparse_everywhere"`
+	MinSkipFFRatio     float64 `json:"min_skip_ff_ratio"`
+	SkipBeatsDomLowSel bool    `json:"skip_beats_dom_at_low_selectivity"`
+	SkipBeatsFullParse bool    `json:"skip_beats_fullparse_everywhere"`
 }
 
 type filterReport struct {

@@ -7,8 +7,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"log"
@@ -28,14 +26,12 @@ func main() {
 	}
 	var records [][]byte
 	if fi, _ := os.Stdin.Stat(); fi != nil && fi.Mode()&os.ModeCharDevice == 0 {
-		data, err := io.ReadAll(bufio.NewReader(os.Stdin))
+		data, err := io.ReadAll(os.Stdin)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, line := range bytes.Split(data, []byte{'\n'}) {
-			if len(bytes.TrimSpace(line)) > 0 {
-				records = append(records, line)
-			}
+		for _, sp := range jsonski.RecordSpans(data) {
+			records = append(records, data[sp.Start:sp.End])
 		}
 	} else {
 		var err error

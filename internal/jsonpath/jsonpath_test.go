@@ -336,32 +336,32 @@ func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"",
 		"   ",
-		"place.name",      // no $
-		"$.",              // empty child
-		"$[",              // unterminated
-		"$[abc]",          // junk in bracket
-		"$['unterminated", // unterminated quote
-		"$[-1",            // unterminated after index
-		"$[]",             // missing index
-		"$x",              // junk after $
-		"$[01]",           // leading zero
-		"$[-0]",           // negative zero
-		"$[1:0:-]",        // '-' with no digits in step
-		"$[?@.a",          // unterminated filter
-		"$[?]",            // empty filter
-		"$[?@.a == ]",     // missing operand
-		"$[?@.* == 1]",    // non-singular comparison operand
-		"$[?@.a = 1]",     // bad operator
-		"$[?true]",        // bare literal
+		"place.name",          // no $
+		"$.",                  // empty child
+		"$[",                  // unterminated
+		"$[abc]",              // junk in bracket
+		"$['unterminated",     // unterminated quote
+		"$[-1",                // unterminated after index
+		"$[]",                 // missing index
+		"$x",                  // junk after $
+		"$[01]",               // leading zero
+		"$[-0]",               // negative zero
+		"$[1:0:-]",            // '-' with no digits in step
+		"$[?@.a",              // unterminated filter
+		"$[?]",                // empty filter
+		"$[?@.a == ]",         // missing operand
+		"$[?@.* == 1]",        // non-singular comparison operand
+		"$[?@.a = 1]",         // bad operator
+		"$[?true]",            // bare literal
 		"$[?length(@.a) > 1]", // function extension
-		"$['a' 'b']",      // missing comma
-		"$.foo-bar",       // hyphen not allowed in shorthand
-		"$.1a",            // shorthand cannot start with a digit
-		" $.a",            // leading whitespace
-		"$.a ",            // trailing whitespace
-		`$["\q"]`,         // invalid escape
-		`$['\"']`,         // wrong-quote escape
-		`$["\uD800"]`,     // lone surrogate
+		"$['a' 'b']",          // missing comma
+		"$.foo-bar",           // hyphen not allowed in shorthand
+		"$.1a",                // shorthand cannot start with a digit
+		" $.a",                // leading whitespace
+		"$.a ",                // trailing whitespace
+		`$["\q"]`,             // invalid escape
+		`$['\"']`,             // wrong-quote escape
+		`$["\uD800"]`,         // lone surrogate
 		"$[9007199254740992]", // beyond I-JSON exact range
 	}
 	for _, q := range bad {

@@ -9,13 +9,13 @@ import (
 	"io"
 	"mime"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"jsonski"
+	"jsonski/internal/ndjson"
 	"jsonski/internal/telemetry"
 )
 
@@ -436,19 +436,12 @@ func (s *Server) serveSingleStreaming(w http.ResponseWriter, r *http.Request, da
 	s.flushSink(rsp, bw)
 }
 
-// bodyReadSize is what one read of an NDJSON request body asks for, and
-// so the size of a batch — bar a record longer than this, which grows
-// its batch until the record ends.
-const bodyReadSize = 64 << 10
-
 // batch is one pool task of the NDJSON stream path: the complete records
-// that one read of the request body delivered, as sub-slices of the
-// bytes read. A worker evaluates them in order into out; the handler
-// then writes out and flushes once for the whole batch.
+// that one read of the request body delivered. A worker evaluates them
+// in order into out; the handler then writes out and flushes once for
+// the whole batch.
 type batch struct {
-	data   []byte           // the bytes read, up to the last newline
-	recs   [][]byte         // the non-blank lines of data, trimmed
-	first  int              // stream-wide index of recs[0]
+	ndjson.Batch
 	out    bytes.Buffer     // match and error lines, in record order
 	errs   int64            // records whose evaluation failed
 	traces []*jsonski.Trace // per record; non-nil only in explain mode
@@ -458,7 +451,7 @@ type batch struct {
 // batchPool recycles batches — read buffer, record table and output
 // buffer — across requests.
 var batchPool = sync.Pool{New: func() any {
-	return &batch{data: make([]byte, 0, bodyReadSize), done: make(chan struct{}, 1)}
+	return &batch{Batch: ndjson.Batch{Data: make([]byte, 0, ndjson.ReadSize)}, done: make(chan struct{}, 1)}
 }}
 
 func getBatch() *batch { return batchPool.Get().(*batch) }
@@ -466,10 +459,9 @@ func getBatch() *batch { return batchPool.Get().(*batch) }
 func putBatch(b *batch) {
 	// A batch grown by an over-long record, or whose output grew past
 	// 1 MiB, is dropped rather than pinned in the pool.
-	if cap(b.data) > bodyReadSize || b.out.Cap() > 1<<20 {
+	if cap(b.Data) > ndjson.ReadSize || b.out.Cap() > 1<<20 {
 		return
 	}
-	b.data, b.recs = b.data[:0], b.recs[:0]
 	b.out.Reset()
 	b.errs = 0
 	clear(b.traces)
@@ -481,8 +473,8 @@ func putBatch(b *batch) {
 // record's {"record":n,"error":...} line replaces whatever match lines
 // it had rendered, and evaluation goes on with the next record.
 func (b *batch) run(eval recordEval) {
-	for i, rec := range b.recs {
-		idx := b.first + i
+	for i, rec := range b.Recs {
+		idx := b.First + i
 		mark := b.out.Len()
 		trace, err := eval(&b.out, rec, idx)
 		b.traces = append(b.traces, trace)
@@ -495,91 +487,29 @@ func (b *batch) run(eval recordEval) {
 	b.done <- struct{}{}
 }
 
-// readBatches reads an NDJSON body into batches and sends them on out
-// in stream order, closing out when it returns. A batch ends at the last
-// newline of what one read returned; the partial record after it opens
-// the next batch. A read that completes no record is followed by another
-// into the same batch. So a batch never waits for input beyond its last
-// complete record, and a trickling client gets record n's matches before
-// it sends record n+1. At EOF or a read error the bytes left form the
-// last batch, newline or not. It returns the read error (nil at EOF), or
-// ctx's error if the handler stopped taking batches.
+// readBatches frames an NDJSON body into batches (see ndjson.Reader) and
+// sends them on out in stream order, closing out when it returns. It
+// returns the read error (nil at EOF), or ctx's error if the handler
+// stopped taking batches.
 func readBatches(ctx context.Context, body io.Reader, out chan<- *batch) error {
 	defer close(out)
-	idx := 0
-	b := getBatch()
+	rd := ndjson.NewReader(body)
 	for {
-		err := fillBatch(body, b)
-		var next *batch
-		if err == nil {
-			cut := bytes.LastIndexByte(b.data, '\n') + 1
-			next = getBatch()
-			next.data = append(next.data, b.data[cut:]...)
-			b.data = b.data[:cut]
-		}
-		b.recs = appendRecords(b.recs, b.data)
-		b.first = idx
-		idx += len(b.recs)
-		if len(b.recs) == 0 {
+		b := getBatch()
+		if err := rd.Next(&b.Batch); err != nil {
 			putBatch(b)
-		} else {
-			select {
-			case out <- b:
-			case <-ctx.Done():
-				putBatch(b)
-				if next != nil {
-					putBatch(next)
-				}
-				return ctx.Err()
-			}
-		}
-		if next == nil {
 			if err == io.EOF {
 				return nil
 			}
 			return err
 		}
-		b = next
-	}
-}
-
-// fillBatch reads into b.data until it holds a newline, doubling the
-// buffer whenever a record fills it. It returns the read error that
-// ended the body (io.EOF at its end), or nil once a record is complete.
-func fillBatch(body io.Reader, b *batch) error {
-	// A carried-over partial record holds no newline.
-	scanned := len(b.data)
-	for {
-		if len(b.data) == cap(b.data) {
-			b.data = slices.Grow(b.data, len(b.data))
-		}
-		n, err := body.Read(b.data[len(b.data):cap(b.data)])
-		b.data = b.data[:len(b.data)+n]
-		if err != nil {
-			return err
-		}
-		if bytes.IndexByte(b.data[scanned:], '\n') >= 0 {
-			return nil
-		}
-		scanned = len(b.data)
-	}
-}
-
-// appendRecords appends the records of data to recs: its lines,
-// whitespace-trimmed, blank ones skipped, as sub-slices of data.
-func appendRecords(recs [][]byte, data []byte) [][]byte {
-	for len(data) > 0 {
-		line := data
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			line, data = data[:i], data[i+1:]
-		} else {
-			data = nil
-		}
-		if line = bytes.TrimSpace(line); len(line) > 0 {
-			recs = append(recs, line)
+		select {
+		case out <- b:
+		case <-ctx.Done():
+			putBatch(b)
+			return ctx.Err()
 		}
 	}
-	return recs
 }
 
 // streamRecords pipelines an NDJSON body through the worker pool one
@@ -591,9 +521,9 @@ func appendRecords(recs [][]byte, data []byte) [][]byte {
 // every record is a batch of its own. The window, together with the
 // pool's bounded queue, is the request's backpressure: reading from the
 // body pauses whenever the window is full. So a request's in-flight
-// input is the window's batches plus the two the reader is filling and
-// handing over, each at most bodyReadSize unless it holds a longer
-// record.
+// input is the window's batches plus the one the reader is filling or
+// handing over and the partial record it carries, each at most
+// ndjson.ReadSize unless it holds a longer record.
 //
 // NDJSON records are independent, so a malformed record does not abort
 // the stream: it becomes a {"record":n,"error":...} line (counted in
@@ -631,7 +561,7 @@ func (s *Server) streamRecords(w http.ResponseWriter, r *http.Request, body io.R
 		defer putBatch(b)
 		if ev.explain {
 			for i, trace := range b.traces {
-				trail.add(b.first+i, trace)
+				trail.add(b.First+i, trace)
 			}
 		}
 		s.m.recordErrors.Add(b.errs)

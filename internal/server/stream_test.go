@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -15,23 +14,9 @@ import (
 	"time"
 
 	"jsonski"
+	"jsonski/internal/ndjson"
+	"jsonski/internal/ndjson/ndjsontest"
 )
-
-// pieceReader hands out one piece per Read (as much of it as fits), so a
-// test decides where the server's reads of a body end.
-type pieceReader struct{ pieces []string }
-
-func (p *pieceReader) Read(b []byte) (int, error) {
-	for len(p.pieces) > 0 && p.pieces[0] == "" {
-		p.pieces = p.pieces[1:]
-	}
-	if len(p.pieces) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(b, p.pieces[0])
-	p.pieces[0] = p.pieces[0][n:]
-	return n, nil
-}
 
 // wantLines renders what a stream of recs must answer, one record at a
 // time through the library: each record's match lines, or its error
@@ -71,92 +56,15 @@ func wantLines(t *testing.T, recs []string, multi bool) (string, int) {
 // TestStreamBatchBoundaries pins the NDJSON framing across batch
 // boundaries: however the body's reads split it, /query and /multi
 // answer exactly the per-record lines of its records, in order, with
-// record indices counted across batches.
+// record indices counted across batches. A read error ends the answer
+// with an error line, after the lines of every record read before it.
 func TestStreamBatchBoundaries(t *testing.T) {
-	long := `{"v":1,"k":"` + strings.Repeat("x", 80<<10) + `"}`
-	// A mixed stream — blank lines, CRLF, malformed records, records of
-	// up to 70 KiB — cut into reads of random length.
-	rng := rand.New(rand.NewSource(1))
-	var (
-		mixed       strings.Builder
-		mixedRecs   []string
-		mixedFailed int
-	)
-	for i := 0; i < 300; i++ {
-		var rec string
-		switch rng.Intn(8) {
-		case 0:
-			mixed.WriteString(" \t\n")
-			continue
-		case 1:
-			rec = `{"v":{"k":`
-			mixedFailed++
-		case 2:
-			rec = fmt.Sprintf(`{"v":%d,"k":"%s"}`, i, strings.Repeat("x", rng.Intn(70<<10)))
-		default:
-			rec = fmt.Sprintf(`{"v":%d,"k":"s%d"}`, i, i)
-		}
-		mixedRecs = append(mixedRecs, rec)
-		mixed.WriteString(rec)
-		if rng.Intn(2) == 0 {
-			mixed.WriteByte('\r')
-		}
-		mixed.WriteByte('\n')
-	}
-	var mixedPieces []string
-	for rest := mixed.String(); len(rest) > 0; {
-		n := min(1+rng.Intn(9000), len(rest))
-		mixedPieces = append(mixedPieces, rest[:n])
-		rest = rest[n:]
-	}
-	cases := []struct {
-		name   string
-		pieces []string // the body, one piece per read
-		recs   []string // the records it holds, in order
-		failed int      // how many of recs are malformed
-	}{
-		{
-			name:   "reads split records mid-line",
-			pieces: []string{`{"v":0,"k":"a"}` + "\n" + `{"v":1,`, `"k":"b"}` + "\n" + `{"v":`, `2,"k":"c"}`, "\n"},
-			recs:   []string{`{"v":0,"k":"a"}`, `{"v":1,"k":"b"}`, `{"v":2,"k":"c"}`},
-		},
-		{
-			name:   "record longer than 64 KiB",
-			pieces: []string{`{"v":0,"k":"a"}` + "\n" + long[:1000], long[1000:] + "\n" + `{"v":2,"k":"c"}` + "\n"},
-			recs:   []string{`{"v":0,"k":"a"}`, long, `{"v":2,"k":"c"}`},
-		},
-		{
-			name:   "CRLF line endings",
-			pieces: []string{"{\"v\":0,\"k\":\"a\"}\r\n{\"v\":1,\"k\":\"b\"}\r", "\n{\"v\":2,\"k\":\"c\"}\r\n"},
-			recs:   []string{`{"v":0,"k":"a"}`, `{"v":1,"k":"b"}`, `{"v":2,"k":"c"}`},
-		},
-		{
-			name:   "blank and whitespace-only lines",
-			pieces: []string{"\n  \n{\"v\":0,\"k\":\"a\"}\n\t \r\n\n", "   \n{\"v\":1,\"k\":\"b\"}\n \t"},
-			recs:   []string{`{"v":0,"k":"a"}`, `{"v":1,"k":"b"}`},
-		},
-		{
-			name:   "last record without a newline",
-			pieces: []string{`{"v":0,"k":"a"}` + "\n" + `{"v":1,"k":"b"}`},
-			recs:   []string{`{"v":0,"k":"a"}`, `{"v":1,"k":"b"}`},
-		},
-		{
-			// Record 3 matches before it fails: its error line replaces
-			// the match lines it rendered.
-			name:   "malformed records mid-batch",
-			pieces: []string{`{"v":0,"k":"a"}` + "\n" + `{"v":{"k":` + "\n" + `{"v":2,"k":"c"}` + "\n" + `{"v":3,"k":"d",` + "\n", `{"v":4,"k":"e"}` + "\n"},
-			recs:   []string{`{"v":0,"k":"a"}`, `{"v":{"k":`, `{"v":2,"k":"c"}`, `{"v":3,"k":"d",`, `{"v":4,"k":"e"}`},
-			failed: 2,
-		},
-		{name: "empty body"},
-		{name: "mixed stream in random reads", pieces: mixedPieces, recs: mixedRecs, failed: mixedFailed},
-	}
 	s, err := New(Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	for _, tc := range cases {
+	for _, tc := range ndjsontest.Cases() {
 		for _, ep := range []struct {
 			name, target string
 			multi        bool
@@ -164,14 +72,16 @@ func TestStreamBatchBoundaries(t *testing.T) {
 			{"query", "/query?path=" + url.QueryEscape("$.v"), false},
 			{"multi", "/multi?path=" + url.QueryEscape("$.v") + "&path=" + url.QueryEscape("$.k"), true},
 		} {
-			t.Run(tc.name+"/"+ep.name, func(t *testing.T) {
-				want, failed := wantLines(t, tc.recs, ep.multi)
-				if failed != tc.failed {
-					t.Fatalf("%d of the case's records fail in the library, want %d", failed, tc.failed)
+			t.Run(tc.Name+"/"+ep.name, func(t *testing.T) {
+				want, failed := wantLines(t, tc.Recs, ep.multi)
+				if failed != tc.Failed {
+					t.Fatalf("%d of the case's records fail in the library, want %d", failed, tc.Failed)
 				}
-				body := &pieceReader{pieces: append([]string(nil), tc.pieces...)}
+				if tc.Err != nil {
+					want += string(errorLine(-1, tc.Err))
+				}
 				w := httptest.NewRecorder()
-				s.ServeHTTP(w, httptest.NewRequest("POST", ep.target, body))
+				s.ServeHTTP(w, httptest.NewRequest("POST", ep.target, tc.Reader()))
 				if w.Code != http.StatusOK {
 					t.Fatalf("status %d: %s", w.Code, w.Body)
 				}
@@ -216,7 +126,7 @@ func TestQueryStreamFlushesPerBatch(t *testing.T) {
 	if n := strings.Count(w.Body.String(), "\n"); n != records {
 		t.Fatalf("%d lines, want %d", n, records)
 	}
-	if limit := (body.Len()+bodyReadSize-1)/bodyReadSize + 1; w.flushes > limit {
+	if limit := (body.Len()+ndjson.ReadSize-1)/ndjson.ReadSize + 1; w.flushes > limit {
 		t.Fatalf("%d flushes for a %d-byte body, want at most %d", w.flushes, body.Len(), limit)
 	}
 }

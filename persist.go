@@ -1,8 +1,7 @@
 package jsonski
 
 import (
-	"unicode"
-
+	"jsonski/internal/ndjson"
 	"jsonski/internal/store"
 )
 
@@ -27,33 +26,18 @@ const IndexExt = store.Ext
 func ContentHash(data []byte) uint64 { return store.ContentHash(data) }
 
 // RecordSpans computes the record table of an NDJSON buffer: one
-// whitespace-trimmed Span per non-blank line, with the same record
-// boundaries the reader entry points use. Pass the result to SaveIndex
-// or Catalog.Put so each record of the serialized corpus can later be
-// queried zero-copy via Query.RunIndexedWindow.
+// whitespace-trimmed Span per non-blank line, framed by the same code as
+// the reader entry points, so it has their records by construction. Pass
+// the result to SaveIndex or Catalog.Put so each record of the serialized
+// corpus can later be queried zero-copy via Query.RunIndexedWindow.
 func RecordSpans(data []byte) []Span {
 	var spans []Span
-	lineStart := 0
-	for i := 0; i <= len(data); i++ {
-		if i < len(data) && data[i] != '\n' {
-			continue
-		}
-		lo, hi := lineStart, i
-		lineStart = i + 1
-		for lo < hi && isSpace(data[lo]) {
-			lo++
-		}
-		for hi > lo && isSpace(data[hi-1]) {
-			hi--
-		}
-		if lo < hi {
-			spans = append(spans, Span{Start: int64(lo), End: int64(hi)})
-		}
+	for _, rec := range ndjson.Split(nil, data) {
+		start := int64(cap(data) - cap(rec)) // rec is a sub-slice of data
+		spans = append(spans, Span{Start: start, End: start + int64(len(rec))})
 	}
 	return spans
 }
-
-func isSpace(b byte) bool { return b < 0x80 && unicode.IsSpace(rune(b)) }
 
 // SaveIndex serializes an index — document bytes, structural bitmaps,
 // and an optional NDJSON record table — to a versioned, checksummed

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -110,6 +111,53 @@ func TestRecordSpansAndWindow(t *testing.T) {
 		}
 		if st.Matches != 1 {
 			t.Fatalf("record %d stats: %+v", i, st)
+		}
+	}
+}
+
+// TestRecordSpansMatchReader frames NDJSON whose lines start or end
+// with Unicode spaces (U+0085, U+00A0, U+2028), lines holding only one
+// of those, \v or \f, and CRLF endings, through the sidecar path
+// (RecordSpans and RunIndexedWindow) and the reader path (RunReader).
+// Both must report the same records, record indices and matches, and
+// fail on the same record.
+func TestRecordSpansMatchReader(t *testing.T) {
+	inputs := []string{
+		"\u0085{\"a\":1}\n{\"a\":2}\n",
+		"{\"a\":1}\u0085\n\u00a0{\"a\":2}\u2028\n\u2028{\"a\":3}\u00a0\n",
+		"{\"a\":1}\n\u0085\n\u00a0\n\u2028\n\v\n\f\n{\"a\":2}",
+		"{\"a\":1}\r\n\r\n{\"a\":2}\r\n",
+		"{\"a\":1}\n\u00a0\n{\"a\":{\"b\"\n",
+	}
+	for _, in := range inputs {
+		for _, expr := range []string{"$.a", "$.a.b"} {
+			q := MustCompile(expr)
+			var viaReader []string
+			_, rerr := q.RunReader(strings.NewReader(in), func(m Match) {
+				viaReader = append(viaReader, fmt.Sprintf("%d:%s", m.Record, m.Value))
+			})
+
+			var viaSpans []string
+			var serr error
+			data := []byte(in)
+			ix := BuildIndex(data)
+			for i, sp := range RecordSpans(data) {
+				_, err := q.RunIndexedWindow(ix, int(sp.Start), int(sp.End), func(m Match) {
+					viaSpans = append(viaSpans, fmt.Sprintf("%d:%s", i, m.Value))
+				})
+				if err != nil {
+					serr = fmt.Errorf("record %d: %w", i, err)
+					break
+				}
+			}
+			ix.Release()
+
+			if fmt.Sprint(viaSpans) != fmt.Sprint(viaReader) {
+				t.Errorf("%q %s: sidecar matched %q, reader %q", in, expr, viaSpans, viaReader)
+			}
+			if fmt.Sprint(serr) != fmt.Sprint(rerr) {
+				t.Errorf("%q %s: sidecar failed with %v, reader with %v", in, expr, serr, rerr)
+			}
 		}
 	}
 }

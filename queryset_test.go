@@ -22,10 +22,10 @@ func TestQuerySetSidecarRouting(t *testing.T) {
 	// Filter, descendant, and deferred-selector queries route to sidecar
 	// engines; plain path queries share one traversal. All answer.
 	qs := MustCompileSet(
-		"$.items[*].name",       // shared pass
-		"$.items[?@.price<10]",  // filter sidecar
-		"$..price",              // descendant sidecar
-		"$.items[-1]",           // deferred (negative index) sidecar
+		"$.items[*].name",            // shared pass
+		"$.items[?@.price<10]",       // filter sidecar
+		"$..price",                   // descendant sidecar
+		"$.items[-1]",                // deferred (negative index) sidecar
 		"$.items[0]['name','price']", // deferred (union) sidecar
 	)
 	data := []byte(`{"items": [{"name": "a", "price": 5}, {"name": "b", "price": 20}]}`)

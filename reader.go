@@ -1,25 +1,27 @@
 package jsonski
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"sync"
 	"time"
 
+	"jsonski/internal/ndjson"
 	"jsonski/internal/telemetry"
 )
 
 // RunReader streams newline-delimited JSON records from r, evaluating the
-// query against each record as soon as its line is read. Blank lines are
-// skipped. Match.Value aliases an internal per-record buffer that remains
-// valid only for the duration of the callback.
+// query against each record as soon as the read that completes it
+// returns. Records are the non-blank lines of r, whitespace-trimmed, as
+// RecordSpans frames them. Match.Value aliases an internal read buffer
+// that remains valid only for the duration of the callback.
 //
 // This is the record-sequence scenario of the paper (Figures 11 and 12)
-// lifted from preloaded buffers to a true input stream; memory use is
-// bounded by the largest single record.
+// lifted from preloaded buffers to a true input stream. r is read in
+// 64 KiB batches into one reused buffer, which a record longer than that
+// grows by doubling: memory is bounded by the larger of 64 KiB and the
+// longest record, within a factor of two, per worker.
 func (q *Query) RunReader(r io.Reader, fn func(Match)) (Stats, error) {
 	return q.RunReaderContext(context.Background(), r, fn)
 }
@@ -41,11 +43,11 @@ func (q *Query) RunReaderSink(ctx context.Context, r io.Reader, sink Sink) (Stat
 	return serial(readerSource(ctx, r), newSinkRun(sink), q.eval)
 }
 
-// RunReader streams newline-delimited JSON records from r, evaluating
-// every query of the set against each record as soon as its line is
-// read: the shared pass, then the sidecar queries, as in Run. Blank
-// lines are skipped. SetMatch.Value aliases an internal per-record
-// buffer that remains valid only for the duration of the callback.
+// RunReader streams newline-delimited JSON records from r, framed and
+// buffered as by Query.RunReader, evaluating every query of the set
+// against each record: the shared pass, then the sidecar queries, as in
+// Run. SetMatch.Value aliases an internal read buffer that remains valid
+// only for the duration of the callback.
 func (qs *QuerySet) RunReader(r io.Reader, fn func(SetMatch)) (Stats, error) {
 	return qs.RunReaderContext(context.Background(), r, fn)
 }
@@ -58,10 +60,11 @@ func (qs *QuerySet) RunReaderContext(ctx context.Context, r io.Reader, fn func(S
 	return serial(readerSource(ctx, r), setFnRun(fn), qs.eval)
 }
 
-// RunReaderParallel is RunReader with a pool of `workers` goroutines,
-// each evaluating whole records (the paper's task-level parallelism).
-// fn may be invoked concurrently. Record indexes reflect input order;
-// callback order is unspecified.
+// RunReaderParallel is RunReader with a pool of `workers` goroutines
+// (the paper's task-level parallelism). Each worker claims a 64 KiB
+// batch of records, the records of one read, and evaluates them in
+// order in a buffer of its own. fn may be invoked concurrently. Record
+// indexes reflect input order; callback order is unspecified.
 func (q *Query) RunReaderParallel(r io.Reader, workers int, fn func(Match)) (Stats, error) {
 	return q.RunReaderParallelContext(context.Background(), r, workers, fn)
 }
@@ -73,61 +76,51 @@ func (q *Query) RunReaderParallelContext(ctx context.Context, r io.Reader, worke
 	return q.parallel(readerSource(ctx, r), workers, fn)
 }
 
-// source feeds the record loop and the worker pool: a slice of records,
-// or the non-blank lines of an NDJSON reader, which also keeps the
-// per-record latency histogram behind Stats.Latency.
+// source feeds the record loop and the worker pool batches: a record of
+// a slice each, or the records of one read of an NDJSON reader, which
+// also keeps the per-record latency histogram behind Stats.Latency.
 type source struct {
 	recs [][]byte
-	br   *bufio.Reader // nil for a slice
+	rd   *ndjson.Reader // nil for a slice
 	ctx  context.Context
 	lat  telemetry.Histogram
-	n    int   // records handed out so far
+	n    int   // records handed out so far from a slice
 	err  error // why the reader stopped: io.EOF, a read error or ctx's error
 }
 
 func sliceSource(recs [][]byte) *source { return &source{recs: recs} }
 
 func readerSource(ctx context.Context, r io.Reader) *source {
-	return &source{br: bufio.NewReaderSize(r, 1<<16), ctx: ctx}
+	return &source{rd: ndjson.NewReader(r), ctx: ctx}
 }
 
-// next hands out the next record and its index; ok is false once the
-// source is exhausted. A reader checks ctx before every line, so a run
-// stops between records once ctx is done. Each line is a fresh buffer,
-// so records can cross goroutines.
-func (s *source) next() (rec []byte, i int, ok bool) {
-	if s.br == nil {
+// next fills b with the next batch; it is false once the source is
+// exhausted. A reader checks ctx before every read and the record loops
+// before every record, so a run stops between records once ctx is done.
+func (s *source) next(b *ndjson.Batch) bool {
+	if s.rd == nil {
 		if s.n == len(s.recs) {
-			return nil, 0, false
+			return false
 		}
+		b.Recs, b.First = s.recs[s.n:s.n+1:s.n+1], s.n
 		s.n++
-		return s.recs[s.n-1], s.n - 1, true
+		return true
 	}
-	for s.err == nil {
-		if s.err = s.ctx.Err(); s.err != nil {
-			break
-		}
-		var line []byte
-		line, s.err = readLine(s.br)
-		if len(line) > 0 {
-			s.n++
-			return line, s.n - 1, true
+	if s.err == nil {
+		if s.err = s.ctx.Err(); s.err == nil {
+			s.err = s.rd.Next(b)
 		}
 	}
-	return nil, 0, false
+	return s.err == nil
 }
 
-// readLine reads one newline-terminated record, handling lines longer
-// than the buffered reader's internal buffer and trimming whitespace.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadBytes('\n')
-	return bytes.TrimSpace(line), err
-}
+// done reports whether a reader's ctx is done; next then ends the source.
+func (s *source) done() bool { return s.ctx != nil && s.ctx.Err() != nil }
 
 // eval evaluates one record with fn, timing it when the source is a
 // reader.
 func (s *source) eval(fn evalFunc, rec []byte, sr *sinkRun) (Stats, error) {
-	if s.br == nil {
+	if s.rd == nil {
 		return fn(input{data: rec}, sr)
 	}
 	t0 := time.Now()
@@ -157,41 +150,42 @@ func (s *source) latency() *LatencySnapshot {
 // serial is the one serial record loop. It evaluates src's records in
 // order, beginning each on sr, until the source ends, an engine fails
 // (the error names the record), or the sink fails: its destination is
-// broken, so the remaining records are not read.
+// broken, so the run stops before the next record.
 func serial(src *source, sr *sinkRun, eval evalFunc) (Stats, error) {
 	var out Stats
 	var err error
-	for err == nil && sr.err == nil {
-		rec, i, ok := src.next()
-		if !ok {
-			err = src.end()
-			break
+	var b ndjson.Batch
+	for err == nil && sr.err == nil && src.next(&b) {
+		for i := 0; i < len(b.Recs) && err == nil && sr.err == nil && !src.done(); i++ {
+			sr.begin(b.First+i, b.Recs[i])
+			var st Stats
+			if st, err = src.eval(eval, b.Recs[i], sr); err != nil {
+				err = wrapRecordErr(b.First+i, err)
+			}
+			out.merge(st)
 		}
-		sr.begin(i, rec)
-		var st Stats
-		if st, err = src.eval(eval, rec, sr); err != nil {
-			err = wrapRecordErr(i, err)
-		}
-		out.merge(st)
+	}
+	if err == nil {
+		err = src.end()
 	}
 	out.latency = src.latency()
 	return out, sr.finish(err)
 }
 
 // parallel is the one worker pool: `workers` goroutines claim src's
-// records and evaluate each into a run of their own, so fn is called
-// concurrently. Every record is evaluated even after an engine error;
-// the first one, naming its record, is returned once the workers drain,
-// ahead of the source's own error. One worker is the serial loop.
+// batches and evaluate each record into a run of their own, so fn is
+// called concurrently. Every record is evaluated even after an engine
+// error; the first one, naming its record, is returned once the workers
+// drain, ahead of the source's own error. One worker is the serial loop.
 func (q *Query) parallel(src *source, workers int, fn func(Match)) (Stats, error) {
-	if src.br == nil {
+	if src.rd == nil {
 		workers = min(workers, len(src.recs))
 	}
 	if workers <= 1 {
 		return serial(src, newSinkRun(fnSink(fn)), q.eval)
 	}
 	var (
-		mu    sync.Mutex // guards src, out and first; a reader is one stream, so its lines are read under it
+		mu    sync.Mutex // guards src, out and first; a reader is one stream, so its batches are read under it
 		out   Stats
 		first error
 		wg    sync.WaitGroup
@@ -202,21 +196,24 @@ func (q *Query) parallel(src *source, workers int, fn func(Match)) (Stats, error
 			defer wg.Done()
 			sr := newSinkRun(fnSink(fn))
 			defer sr.finish(nil)
+			var b ndjson.Batch
 			for {
 				mu.Lock()
-				rec, i, ok := src.next()
+				ok := src.next(&b)
 				mu.Unlock()
 				if !ok {
 					return
 				}
-				sr.begin(i, rec)
-				st, err := src.eval(q.eval, rec, sr)
-				mu.Lock()
-				out.merge(st)
-				if err != nil && first == nil {
-					first = wrapRecordErr(i, err)
+				for i := 0; i < len(b.Recs) && !src.done(); i++ {
+					sr.begin(b.First+i, b.Recs[i])
+					st, err := src.eval(q.eval, b.Recs[i], sr)
+					mu.Lock()
+					out.merge(st)
+					if err != nil && first == nil {
+						first = wrapRecordErr(b.First+i, err)
+					}
+					mu.Unlock()
 				}
-				mu.Unlock()
 			}
 		}()
 	}

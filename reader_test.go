@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func ndjsonInput(n int) string {
@@ -69,7 +70,7 @@ func TestRunReaderMalformedRecord(t *testing.T) {
 
 func TestRunReaderParallel(t *testing.T) {
 	q := MustCompile("$.v")
-	const n = 300
+	const n = 10000 // several 64 KiB batches, so workers claim them concurrently
 	var mu sync.Mutex
 	var recs []int
 	st, err := q.RunReaderParallel(strings.NewReader(ndjsonInput(n)), 8, func(m Match) {
@@ -161,3 +162,45 @@ func TestRunReaderPropagatesReadError(t *testing.T) {
 		t.Fatal("parallel read error not propagated")
 	}
 }
+
+// TestRunReaderStreamsIncrementally feeds RunReaderSink through a pipe:
+// record n's matches must reach the sink before record n+1 is written,
+// so a reader never waits for input beyond a complete record.
+func TestRunReaderStreamsIncrementally(t *testing.T) {
+	pr, pw := io.Pipe()
+	// The watchdog ends the stream if a match never arrives, so a reader
+	// that waits for more input fails the test, not hangs it.
+	watchdog := time.AfterFunc(5*time.Second, func() { pw.CloseWithError(errors.New("no match before the next record")) })
+	defer watchdog.Stop()
+	out := make(chan string)
+	done := make(chan error, 1)
+	go func() {
+		_, err := MustCompile("$.v").RunReaderSink(context.Background(), pr, &chanSink{out: out})
+		done <- err
+	}()
+	for i := 0; i < 3; i++ {
+		if _, err := fmt.Fprintf(pw, "{\"v\": %d}\n", i); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := <-out, fmt.Sprint(i); got != want {
+			t.Fatalf("record %d matched %q, want %q", i, got, want)
+		}
+	}
+	pw.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// chanSink sends each match's value on out.
+type chanSink struct {
+	out  chan<- string
+	data []byte
+}
+
+func (s *chanSink) Begin(_ int, data []byte) { s.data = data }
+func (s *chanSink) Span(start, end int) error {
+	s.out <- string(s.data[start:end])
+	return nil
+}
+func (s *chanSink) Flush() error { return nil }

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # lint.sh — run the full lint suite exactly as CI's lint job does:
 #
+#   gofmt         `gofmt -l .` must print nothing: every Go file in the
+#                 tree, testdata fixtures included, is gofmt-formatted
 #   go vet        over both workspace modules (the library and tools/lint)
 #   jsonskilint   the custom invariant analyzers (poolpair, escapespan,
 #                 chargesite, atomicpair, tracenil, spanend,
@@ -27,6 +29,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 fail=0
+
+echo "==> gofmt -l ."
+if unformatted=$(gofmt -l .); then
+    if [ -n "$unformatted" ]; then
+        echo "gofmt: these files need formatting (run gofmt -w):" >&2
+        echo "$unformatted" >&2
+        fail=1
+    fi
+else
+    fail=1
+fi
 
 echo "==> go vet ./... (library module)"
 go vet ./... || fail=1
