@@ -10,7 +10,9 @@
 // With -records the input is treated as newline-delimited JSON (one
 // record per line), streamed rather than slurped, and -workers enables
 // parallel record processing; -stats then includes per-record latency
-// quantiles. With -explain (single-document input only) the fast-forward
+// quantiles. -workers applies to nothing else: with a single document,
+// -get, -save-index or -load-index, a value other than 1 is an error.
+// With -explain (single-document input only) the fast-forward
 // movements are dumped to stderr: which function skipped which byte
 // range, charged to which paper group, in which automaton state.
 // Malformed input exits non-zero with the offending record named;
@@ -64,7 +66,7 @@ func main() {
 		count   = flag.Bool("count", false, "print only the number of matches")
 		stats   = flag.Bool("stats", false, "print fast-forward statistics to stderr")
 		records = flag.Bool("records", false, "input is newline-delimited JSON records")
-		workers = flag.Int("workers", 1, "parallel workers for -records (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 1, "parallel workers for streamed -records (0 = GOMAXPROCS); any other mode accepts only 1")
 		explain = flag.Bool("explain", false, "dump the fast-forward movement trace to stderr (single document only)")
 		saveIx  = flag.String("save-index", "", "persist the input's structural index to this sidecar file after evaluating")
 		loadIx  = flag.String("load-index", "", "evaluate against a sidecar written by -save-index instead of an input file")
@@ -88,6 +90,9 @@ func main() {
 const stdoutSize = 64 << 10
 
 func run(ctx context.Context, query, get string, countOnly, showStats, records bool, workers int, explain bool, saveIx, loadIx string, args []string) error {
+	if workers != 1 && (!records || get != "" || saveIx != "" || loadIx != "") {
+		return fmt.Errorf("-workers applies only to streamed -records (without -get, -save-index or -load-index); drop -workers")
+	}
 	if get != "" {
 		if query != "" {
 			return fmt.Errorf("-q and -get are mutually exclusive")

@@ -128,6 +128,50 @@ func TestRunSaveLoadIndexRecords(t *testing.T) {
 	}
 }
 
+// TestRunWorkersOnlyForStreamedRecords checks that -workers other than 1
+// is rejected, naming the flag, wherever the CLI evaluates without the
+// streamed record pool: a single document, -get, -save-index and
+// -load-index. Streamed -records still takes any worker count.
+func TestRunWorkersOnlyForStreamedRecords(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	f := filepath.Join(dir, "in.ndjson")
+	side := filepath.Join(dir, "in.jski")
+	if err := os.WriteFile(f, []byte("{\"v\":1}\n{\"v\":2}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(ctx, "$.v", "", true, false, true, 1, false, side, "", []string{f}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name           string
+		query, get     string
+		records        bool
+		saveIx, loadIx string
+		args           []string
+	}{
+		{name: "single document", query: "$.v", args: []string{f}},
+		{name: "-get", get: "v", args: []string{f}},
+		{name: "-save-index", query: "$.v", records: true, saveIx: filepath.Join(dir, "out.jski"), args: []string{f}},
+		{name: "-load-index", query: "$.v", records: true, loadIx: side},
+	} {
+		for _, workers := range []int{0, 4} {
+			err := run(ctx, tc.query, tc.get, true, false, tc.records, workers, false, tc.saveIx, tc.loadIx, tc.args)
+			if err == nil || !strings.Contains(err.Error(), "-workers") {
+				t.Fatalf("%s with -workers %d: err = %v, want an error naming -workers", tc.name, workers, err)
+			}
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "out.jski")); !os.IsNotExist(err) {
+		t.Fatalf("rejected -save-index run left a sidecar: %v", err)
+	}
+	for _, workers := range []int{0, 1, 4} {
+		if err := run(ctx, "$.v", "", true, false, true, workers, false, "", "", []string{f}); err != nil {
+			t.Fatalf("streamed -records with -workers %d: %v", workers, err)
+		}
+	}
+}
+
 // flushCounter is a flushable writer that counts its flushes: on stdout
 // each one is a write(2).
 type flushCounter struct {

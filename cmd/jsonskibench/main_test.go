@@ -31,16 +31,25 @@ func TestFmtBytes(t *testing.T) {
 	}
 }
 
-// TestExperimentsSmoke runs every experiment at a tiny size to keep the
-// tables wired to working code.
+// TestExperimentsSmoke runs every paper experiment at a tiny size to
+// keep the tables wired to working code. The store, filter, trace and
+// ondemand experiments have their own tests below.
 func TestExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	defer func(d time.Duration) { benchTime = d }(benchTime)
+	benchTime = time.Millisecond
 	h := &harness{size: 96 << 10, workers: 2, seed: 7}
 	h.table4()
+	h.fig10()
+	h.fig11()
+	h.fig12()
 	h.fig13()
+	h.fig14()
 	h.table6()
+	h.ablation()
+	h.sharedindex()
 }
 
 // TestStoreExperiment smoke-runs the persistent-store experiment at a

@@ -591,8 +591,7 @@ func TestQuerySetReaderAgreesWithDOMPerQuery(t *testing.T) {
 }
 
 // TestIndexedEntryPointsAgree pins the borrowed-index entry points to
-// their lazy twins on random documents: same matches, same order, and
-// for the parallel pair the same multiset.
+// their lazy twins on random documents: same matches, same order.
 func TestIndexedEntryPointsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5150))
 	exprs := []string{"$.a", "$.items[*]", "$[*].id", "$.b[*].c"}
@@ -619,48 +618,6 @@ func TestIndexedEntryPointsAgree(t *testing.T) {
 				lazySet, ixSet, enc)
 		}
 		ix.Release()
-	}
-
-	// Parallel indexed vs parallel lazy on one large array of records.
-	var arr []any
-	for i := 0; i < 400; i++ {
-		arr = append(arr, map[string]any{"id": i, "v": genValue(rng, 3)})
-	}
-	enc, err := json.Marshal(arr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := jsonski.MustCompile("$[*].id")
-	gather := func(run func(fn func(jsonski.Match)) (jsonski.Stats, error)) []string {
-		var mu sync.Mutex
-		var out []string
-		if _, err := run(func(m jsonski.Match) {
-			mu.Lock()
-			out = append(out, string(m.Value))
-			mu.Unlock()
-		}); err != nil {
-			t.Fatal(err)
-		}
-		sort.Strings(out)
-		return out
-	}
-	serial := gather(func(fn func(jsonski.Match)) (jsonski.Stats, error) { return q.Run(enc, fn) })
-	ix := jsonski.BuildIndex(enc)
-	defer ix.Release()
-	for _, workers := range []int{2, 3, 8} {
-		workers := workers
-		par := gather(func(fn func(jsonski.Match)) (jsonski.Stats, error) {
-			return q.RunParallel(enc, workers, fn)
-		})
-		parIx := gather(func(fn func(jsonski.Match)) (jsonski.Stats, error) {
-			return q.RunParallelIndexed(ix, workers, fn)
-		})
-		if fmt.Sprint(par) != fmt.Sprint(serial) {
-			t.Fatalf("workers=%d: RunParallel diverged from serial", workers)
-		}
-		if fmt.Sprint(parIx) != fmt.Sprint(serial) {
-			t.Fatalf("workers=%d: RunParallelIndexed diverged from serial", workers)
-		}
 	}
 }
 
@@ -745,16 +702,6 @@ func ctsEntryPoints() []ctsEntryPoint {
 			for i, v := range vals {
 				out[i] = string(v)
 			}
-			return out, err
-		}},
-		{"RunParallel", false, func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
-			var mu sync.Mutex
-			var out []string
-			_, err := q.RunParallel(data, 3, func(m jsonski.Match) {
-				mu.Lock()
-				out = append(out, string(m.Value))
-				mu.Unlock()
-			})
 			return out, err
 		}},
 		{"QuerySet", true, func(_ *jsonski.Query, sel string, data []byte) ([]string, error) {

@@ -4,8 +4,6 @@ package core
 // recursive-descent driver (driver.go) and the stepper-policy engines
 // layer match/emit accounting on top of the navigation core that owns
 // stream position, fast-forward dispatch, and trace binding (nav.go).
-// The parallel engine's serial prefix phase and its per-shard workers
-// run over the same type.
 //
 // A cursor is reusable across runs but not safe for concurrent use.
 type cursor struct {

@@ -122,17 +122,12 @@ func (e *Engine) Run(data []byte, emit EmitFunc) (Stats, error) {
 	return e.finish(emit, int64(len(data)))
 }
 
-// RunIndexed is Run over a prebuilt structural index: the stream borrows
-// ix's materialized masks instead of classifying words on the fly. The
-// caller must hold a reference on ix for the duration of the call.
-func (e *Engine) RunIndexed(ix *stream.Index, emit EmitFunc) (Stats, error) {
-	return e.RunIndexedWindow(ix, 0, ix.Len(), emit)
-}
-
 // RunIndexedWindow evaluates the query over the single JSON value
-// occupying the window [lo, hi) of ix's buffer — the shard-evaluation
-// entry point of the parallel engine. Emitted positions are absolute
-// within the full buffer.
+// occupying the window [lo, hi) of ix's buffer: the stream borrows ix's
+// materialized masks instead of classifying words on the fly. A whole
+// index is the window [0, ix.Len()). Emitted positions are absolute
+// within the full buffer. The caller must hold a reference on ix for
+// the duration of the call.
 func (e *Engine) RunIndexedWindow(ix *stream.Index, lo, hi int, emit EmitFunc) (Stats, error) {
 	e.prepareWindow(ix, lo, hi)
 	return e.finish(emit, int64(hi-lo))

@@ -128,8 +128,8 @@ func (n *Navigator) prepareIndexed(ix *stream.Index) {
 }
 
 // prepareWindow is prepareIndexed restricted to the single JSON value in
-// [lo, hi) of ix's buffer — the shard entry point of the parallel
-// engine. Positions stay absolute within the full buffer.
+// [lo, hi) of ix's buffer, such as one record of an indexed NDJSON
+// corpus. Positions stay absolute within the full buffer.
 func (n *Navigator) prepareWindow(ix *stream.Index, lo, hi int) {
 	if n.s == nil {
 		n.s = stream.NewIndexedWindow(ix, lo, hi)

@@ -58,20 +58,10 @@ func (e *NFAEngine) Run(data []byte, emit EmitFunc) (Stats, error) {
 	return e.finish(emit, int64(len(data)))
 }
 
-// RunIndexed evaluates the path over a prebuilt structural index. The
-// NFA engine tokenizes far more of the input than the DFA engine (no
-// type-based fast-forwarding below a descendant), so borrowing the
-// word masks pays off even more per repeated document. The caller must
-// hold a reference on ix for the duration of the call.
-func (e *NFAEngine) RunIndexed(ix *stream.Index, emit EmitFunc) (Stats, error) {
-	e.prepareIndexed(ix)
-	return e.finish(emit, int64(ix.Len()))
-}
-
 // RunIndexedWindow evaluates the path over the single JSON value in
-// [lo, hi) of ix's buffer, in parity with the DFA engine, so NFA
-// queries can run over shared-index shards. Emitted positions are
-// absolute within the full buffer.
+// [lo, hi) of ix's buffer, in parity with the DFA engine; a whole index
+// is the window [0, ix.Len()). Emitted positions are absolute within
+// the full buffer.
 func (e *NFAEngine) RunIndexedWindow(ix *stream.Index, lo, hi int, emit EmitFunc) (Stats, error) {
 	e.prepareWindow(ix, lo, hi)
 	return e.finish(emit, int64(hi-lo))

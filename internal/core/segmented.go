@@ -73,13 +73,6 @@ func (se *SegmentedEngine) Run(data []byte, emit EmitFunc) (Stats, error) {
 	return se.eval(data, nil, 0, len(data), emit)
 }
 
-// RunIndexed evaluates the path over a prebuilt structural index; the
-// prefix borrows the index masks. The caller must hold a reference on ix
-// for the duration of the call.
-func (se *SegmentedEngine) RunIndexed(ix *stream.Index, emit EmitFunc) (Stats, error) {
-	return se.eval(ix.Data(), ix, 0, ix.Len(), emit)
-}
-
 // RunIndexedWindow evaluates the path over the single JSON value in
 // [lo, hi) of ix's buffer; emitted positions are absolute.
 func (se *SegmentedEngine) RunIndexedWindow(ix *stream.Index, lo, hi int, emit EmitFunc) (Stats, error) {
@@ -159,3 +152,5 @@ func trimWS(data []byte, lo, hi int) []byte {
 	}
 	return data[lo:hi]
 }
+
+func isSpaceByte(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }

@@ -180,18 +180,6 @@ func (ix *Index) row(w int) []uint64 {
 	return ix.rows[w*idxStride : w*idxStride+idxStride]
 }
 
-// DepthMasks returns the string-filtered open ('{' or '['), close ('}'
-// or ']') and comma masks of word w — the working set of a structural
-// depth scan. Used by the parallel engine's element discovery, which
-// with a prebuilt index needs no speculation: string state is already
-// resolved for every word.
-func (ix *Index) DepthMasks(w int) (opens, closes, commas uint64) {
-	row := ix.row(w)
-	return row[idxLBrace] | row[idxLBracket],
-		row[idxRBrace] | row[idxRBracket],
-		row[idxComma]
-}
-
 // Acquire takes an additional reference. Every Acquire must be paired
 // with a Release.
 func (ix *Index) Acquire() { ix.refs.Add(1) }

@@ -223,23 +223,6 @@ func TestIndexedWindowClamping(t *testing.T) {
 	}
 }
 
-// TestDepthMasks checks the discovery accessor: braces and commas
-// inside strings must not appear.
-func TestDepthMasks(t *testing.T) {
-	data := []byte(`{"a":"}{,","b":[1,2]}`)
-	ix := NewIndex(data)
-	defer ix.Release()
-	opens, closes, commas := ix.DepthMasks(0)
-	wantOpens := uint64(1)<<0 | uint64(1)<<15   // '{' at 0, '[' at 15
-	wantCloses := uint64(1)<<19 | uint64(1)<<20 // ']' at 19, '}' at 20
-	wantCommas := uint64(1)<<10 | uint64(1)<<17 // after the "}{," string, between 1,2
-	// The '}', '{' and ',' at 6..8 are inside the string and must be absent.
-	if opens != wantOpens || closes != wantCloses || commas != wantCommas {
-		t.Fatalf("DepthMasks = %b %b %b, want %b %b %b",
-			opens, closes, commas, wantOpens, wantCloses, wantCommas)
-	}
-}
-
 // TestIndexRefcount checks Acquire/Release pairing: the final Release
 // recycles the buffer, an extra one panics.
 func TestIndexRefcount(t *testing.T) {
@@ -282,8 +265,8 @@ func TestIndexLeakDetection(t *testing.T) {
 		t.Fatal("mask buffer recycled while a borrowed reference remained")
 	}
 	// The leaking borrower can still stream safely: masks intact.
-	opens, closes, _ := ix.DepthMasks(0)
-	if opens == 0 || closes == 0 {
+	row := ix.row(0)
+	if row[idxLBrace] == 0 || row[idxRBrace] == 0 {
 		t.Fatal("leaked index lost its structural masks")
 	}
 

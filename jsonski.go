@@ -32,6 +32,7 @@
 package jsonski
 
 import (
+	"fmt"
 	"sync"
 
 	"jsonski/internal/automaton"
@@ -170,7 +171,6 @@ func indexed(ix *Index, lo, hi int) input {
 // an internal pool.
 type Query struct {
 	path *jsonpath.Path
-	aut  *automaton.Automaton
 	pool sync.Pool
 }
 
@@ -186,8 +186,6 @@ func Compile(expr string) (*Query, error) {
 		// Deferred selectors (unions, negative indexes/bounds, backward
 		// slices, descendant+filter mixes): streamable prefix through the
 		// DFA/NFA engine, deferred tail through the reference evaluator.
-		// q.aut stays nil, so the speculative parallel entry points fall
-		// back to serial evaluation.
 		if _, err := core.NewSegmentedEngine(p); err != nil {
 			return nil, err
 		}
@@ -207,8 +205,8 @@ func Compile(expr string) (*Query, error) {
 		}
 		return q, nil
 	}
-	q.aut = automaton.New(p)
-	q.pool.New = func() any { return runner(core.NewEngine(q.aut)) }
+	aut := automaton.New(p)
+	q.pool.New = func() any { return runner(core.NewEngine(aut)) }
 	return q, nil
 }
 
@@ -306,6 +304,11 @@ func (q *Query) RunIndexedWindow(ix *Index, lo, hi int, fn func(Match)) (Stats, 
 
 // RunIndexedWindowSink is RunIndexedWindow delivering into a Sink.
 func (q *Query) RunIndexedWindowSink(ix *Index, lo, hi int, sink Sink) (Stats, error) {
+	// Every indexed entry point comes through here, so this is the one
+	// check that the window lies inside the index; the sink is not called.
+	if lo < 0 || lo > hi || hi > ix.Len() {
+		return Stats{}, fmt.Errorf("jsonski: window [%d, %d) is outside the index's %d bytes", lo, hi, ix.Len())
+	}
 	return single(indexed(ix, lo, hi), newSinkRun(sink), q.eval)
 }
 
@@ -348,56 +351,4 @@ func (q *Query) All(data []byte) ([][]byte, error) {
 	var sink BufferSink
 	_, err := q.RunSink(data, &sink)
 	return sink.Values, err
-}
-
-// RunParallel evaluates the query over one large record using `workers`
-// goroutines with speculative parallelism — the paper's stated future
-// work (§5.2, Table 3). The record's dominant top-level array is located
-// serially, its element boundaries are discovered by speculative
-// chunked bit-parallel scans (each chunk guesses its string state and is
-// patched at stitch time), and workers evaluate disjoint element ranges.
-//
-// fn may be called concurrently, and match order is unspecified.
-// Queries whose shape cannot be split this way (descendant paths, pure
-// child paths, wildcard-child prefixes) fall back to the serial engine.
-func (q *Query) RunParallel(data []byte, workers int, fn func(Match)) (Stats, error) {
-	return q.speculate(input{data: data}, workers, fn)
-}
-
-// RunParallelIndexed is RunParallel over a prebuilt structural index.
-// With the index, element discovery needs no speculation — string state
-// is already resolved for every word, so chunk boundaries stitch with a
-// popcount prefix sum instead of polarity guessing and misprediction
-// re-scans — and each worker's shard evaluation borrows the same masks.
-// fn may be called concurrently, and match order is unspecified.
-func (q *Query) RunParallelIndexed(ix *Index, workers int, fn func(Match)) (Stats, error) {
-	return q.speculate(indexed(ix, 0, ix.Len()), workers, fn)
-}
-
-// speculate evaluates one large record with the speculative parallel
-// engine, or with eval when there is one worker or the query's shape
-// cannot be split (descendant and deferred paths have no automaton).
-// The parallel engine delivers spans from several goroutines at once,
-// which the callback sink permits: its Span never fails and only reads.
-func (q *Query) speculate(in input, workers int, fn func(Match)) (Stats, error) {
-	var pe *core.ParallelEngine
-	if q.aut != nil && workers > 1 {
-		pe, _ = core.NewParallelEngine(q.path, workers)
-	}
-	eval := evalFunc(q.eval)
-	if pe != nil {
-		eval = func(in input, sr *sinkRun) (Stats, error) {
-			var st core.Stats
-			var err error
-			if in.ix == nil {
-				st, err = pe.Run(in.data, sr.emit())
-			} else {
-				st, err = pe.RunIndexed(in.ix.ix, sr.emit())
-			}
-			var out Stats
-			out.add(st)
-			return out, err
-		}
-	}
-	return single(in, newSinkRun(fnSink(fn)), eval)
 }

@@ -1,9 +1,19 @@
 #!/usr/bin/env bash
 # benchguard.sh BASE.txt HEAD.txt [MAX_REGRESSION_PCT]
 #
-# Compares the mean ns/op of the guarded benchmarks between two `go test
-# -bench` output files and fails when any head mean regresses more than
-# MAX_REGRESSION_PCT (default 2) over its base mean. Guarded benchmarks:
+# Compares the guarded benchmarks between two `go test -bench -benchmem`
+# output files and fails a benchmark on either of two gates:
+#
+#   time   — its head mean ns/op regresses more than MAX_REGRESSION_PCT
+#            (default 2) over its base mean;
+#   allocs — its smallest head allocs/op exceeds its largest base
+#            allocs/op. Allocation counts do not depend on the machine,
+#            so this gate holds the zero-allocation paths (RunLarge,
+#            RunLargeSinkStream, OnDemandGet) at zero exactly, while a
+#            pooled path that wobbles by one allocation between samples
+#            stays inside the base's range.
+#
+# Guarded benchmarks:
 #
 #   BenchmarkRunLarge           — the disabled-telemetry count-only hot
 #                                 path (the zero-overhead-when-off
@@ -40,8 +50,10 @@
 #                                 large record
 #
 # A benchmark absent from the base file is skipped, not failed: it did
-# not exist at the base commit. Both files must be produced on the SAME
-# machine in the SAME CI run — cross-machine comparisons are noise,
+# not exist at the base commit. So is the allocation gate of a benchmark
+# whose base samples carry no allocs/op (a base run without -benchmem);
+# head samples without allocs/op fail it. Both files must be produced on
+# the SAME machine in the SAME CI run — cross-machine timings are noise,
 # which is why the checked-in bench_baseline.txt is informational only.
 set -euo pipefail
 
@@ -68,6 +80,22 @@ done
 mean() {
     awk -v bench="^$2(-[0-9]+)?[ \t]" '$0 ~ bench { sum += $3; n++ }
          END { if (n > 0) printf "%.0f\n", sum / n }' "$1"
+}
+
+# allocs FILE BENCH min|max — the smallest or largest allocs/op of
+# BENCH's samples, empty when none carries one. The count is the field
+# before "allocs/op": SetBytes benchmarks add an MB/s column, so its
+# position varies.
+allocs() {
+    awk -v bench="^$2(-[0-9]+)?[ \t]" -v mode="$3" '$0 ~ bench {
+            for (i = 2; i <= NF; i++) {
+                if ($i != "allocs/op") continue
+                v = $(i - 1) + 0
+                if (n == 0 || (mode == "min" && v < r) || (mode == "max" && v > r)) r = v
+                n++
+            }
+        }
+        END { if (n > 0) printf "%d\n", r }' "$1"
 }
 
 fail=0
@@ -97,5 +125,20 @@ for bench in BenchmarkRunLarge BenchmarkRunLargeSinkStream \
         }
         print "OK: within limit"
     }' || fail=1
+    base_allocs=$(allocs "$base_file" "$bench" max)
+    head_allocs=$(allocs "$head_file" "$bench" min)
+    if [ -z "$base_allocs" ]; then
+        echo "$bench: no allocs/op in base; skipping the allocation gate"
+    elif [ -z "$head_allocs" ]; then
+        echo "$bench: no allocs/op in $head_file (run with -benchmem)" >&2
+        fail=1
+    elif [ "$head_allocs" -gt "$base_allocs" ]; then
+        echo "$bench allocs: base max $base_allocs allocs/op, head min $head_allocs allocs/op" >&2
+        echo "FAIL: $bench allocates more than the base" >&2
+        fail=1
+    else
+        echo "$bench allocs: base max $base_allocs allocs/op, head min $head_allocs allocs/op"
+        echo "OK: no more allocations"
+    fi
 done
 exit "$fail"

@@ -146,52 +146,3 @@ func TestStressSharedCaches(t *testing.T) {
 		t.Fatalf("Len after final Purge = %d", got)
 	}
 }
-
-// TestStressParallelIndexedSharedIndex runs the parallel engine over one
-// shared index from several goroutines at once: the index is strictly
-// read-only, so concurrent shard discovery must not interfere.
-func TestStressParallelIndexedSharedIndex(t *testing.T) {
-	var b strings.Builder
-	b.WriteByte('[')
-	for i := 0; i < 500; i++ {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, `{"id":%d,"pad":"%s"}`, i, strings.Repeat("p", i%37))
-	}
-	b.WriteByte(']')
-	data := []byte(b.String())
-	q := jsonski.MustCompile("$[*].id")
-	ix := jsonski.BuildIndex(data)
-	defer ix.Release()
-
-	var wg sync.WaitGroup
-	errc := make(chan error, 6)
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for it := 0; it < 20; it++ {
-				n := int64(0)
-				var mu sync.Mutex
-				if _, err := q.RunParallelIndexed(ix, 4, func(jsonski.Match) {
-					mu.Lock()
-					n++
-					mu.Unlock()
-				}); err != nil {
-					errc <- err
-					return
-				}
-				if n != 500 {
-					errc <- fmt.Errorf("parallel indexed run found %d matches, want 500", n)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-}
