@@ -221,10 +221,18 @@ type Value struct {
 }
 
 // Err returns the sticky navigation error, nil for a navigable value.
-func (v Value) Err() error { return v.err }
+// A value from before its document's latest Reset or ResetIndexed
+// returns an error wrapping ErrCursorPassed, as does every method on it.
+func (v Value) Err() error {
+	if v.err == nil && v.d != nil && !v.d.nav.Live(v.nv) {
+		return core.ErrPreviousBind
+	}
+	return v.err
+}
 
-// Exists reports whether navigation reached this value.
-func (v Value) Exists() bool { return v.err == nil && v.d != nil }
+// Exists reports whether navigation reached this value and the value
+// belongs to its document's current binding.
+func (v Value) Exists() bool { return v.d != nil && v.Err() == nil }
 
 // Kind peeks at the value's first byte without consuming anything; the
 // classification shares Match.Kind's Kind type.
@@ -261,7 +269,7 @@ func (v Value) IsNull() bool { return v.Kind() == KindNull }
 func (v Value) Get(name string) Value { return v.get(name, jsonpath.Unknown) }
 
 func (v Value) get(name string, expected jsonpath.ValueType) Value {
-	if v.err != nil {
+	if v.Err() != nil {
 		return v
 	}
 	if v.d == nil {
@@ -281,7 +289,7 @@ func (v Value) get(name string, expected jsonpath.ValueType) Value {
 // between the cursor and i en bloc (G5). Elements at or before an
 // already consumed position report ErrCursorPassed.
 func (v Value) Index(i int) Value {
-	if v.err != nil {
+	if v.Err() != nil {
 		return v
 	}
 	if v.d == nil {
@@ -303,8 +311,8 @@ func (v Value) Index(i int) Value {
 // the same ownership rules as Sink.Span: valid until the buffer is
 // recycled or mutated; copy it to retain it.
 func (v Value) Raw() ([]byte, error) {
-	if v.err != nil {
-		return nil, v.err
+	if err := v.Err(); err != nil {
+		return nil, err
 	}
 	if v.d == nil {
 		return nil, errors.New("jsonski: zero Value")
@@ -379,8 +387,8 @@ func (v Value) Unmarshal(out any) error {
 // further forward navigation). The name bytes alias the input and are
 // only valid inside the call.
 func (v Value) Fields(fn func(name []byte, child Value) bool) error {
-	if v.err != nil {
-		return v.err
+	if err := v.Err(); err != nil {
+		return err
 	}
 	if v.d == nil {
 		return errors.New("jsonski: zero Value")
@@ -393,8 +401,8 @@ func (v Value) Fields(fn func(name []byte, child Value) bool) error {
 // Elements iterates this array's elements from the cursor onward; the
 // semantics mirror Fields.
 func (v Value) Elements(fn func(i int, child Value) bool) error {
-	if v.err != nil {
-		return v.err
+	if err := v.Err(); err != nil {
+		return err
 	}
 	if v.d == nil {
 		return errors.New("jsonski: zero Value")

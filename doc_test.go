@@ -178,6 +178,54 @@ func TestDocumentIndexedAndReset(t *testing.T) {
 	}
 }
 
+// TestStaleValueAnswersCursorPassed runs every Value method on a value
+// obtained before its document re-binds. Each must answer with
+// ErrCursorPassed instead of reading the new buffer at the old offset.
+func TestStaleValueAnswersCursorPassed(t *testing.T) {
+	next := []byte(`{"b":{"c":"xyz"}}`)
+	rebinds := []struct {
+		name   string
+		rebind func(*Document)
+	}{
+		{"Reset", func(d *Document) { d.Reset(next) }},
+		{"ResetIndexed", func(d *Document) { d.ResetIndexed(BuildIndex(next)) }},
+	}
+	methods := []struct {
+		name string
+		call func(Value) error
+	}{
+		{"Err", func(v Value) error { return v.Err() }},
+		{"Get", func(v Value) error { return v.Get("c").Err() }},
+		{"Index", func(v Value) error { return v.Index(0).Err() }},
+		{"Raw", func(v Value) error { _, err := v.Raw(); return err }},
+		{"String", func(v Value) error { _, err := v.String(); return err }},
+		{"Int", func(v Value) error { _, err := v.Int(); return err }},
+		{"Float", func(v Value) error { _, err := v.Float(); return err }},
+		{"Bool", func(v Value) error { _, err := v.Bool(); return err }},
+		{"Unmarshal", func(v Value) error { return v.Unmarshal(new(any)) }},
+		{"Fields", func(v Value) error { return v.Fields(func([]byte, Value) bool { return true }) }},
+		{"Elements", func(v Value) error { return v.Elements(func(int, Value) bool { return true }) }},
+	}
+	stale := func(rebind func(*Document)) Value {
+		d := Open([]byte(`{"a": [1, 2]}`))
+		v := d.Get("a")
+		rebind(d)
+		return v
+	}
+	for _, rb := range rebinds {
+		for _, m := range methods {
+			if err := m.call(stale(rb.rebind)); !errors.Is(err, ErrCursorPassed) {
+				t.Errorf("%s, then %s: err = %v, want ErrCursorPassed", rb.name, m.name, err)
+			}
+		}
+		v := stale(rb.rebind)
+		if v.Exists() || v.IsNull() || v.Kind() != KindInvalid {
+			t.Errorf("%s: Exists = %v, IsNull = %v, Kind = %v; want false, false, %v",
+				rb.name, v.Exists(), v.IsNull(), v.Kind(), KindInvalid)
+		}
+	}
+}
+
 func TestDocumentExplain(t *testing.T) {
 	d := Open([]byte(docInput))
 	d.Explain(0)

@@ -146,7 +146,7 @@ func driveObject[S, F, A any](c *cursor, p stepper[S, F, A], frame F, expected j
 	defer func() { c.depth-- }()
 	s.Advance(1) // consume '{'
 	if c.trace != nil {
-		c.trace.State = p.stateID(frame)
+		c.trace.SetState(p.stateID(frame))
 	}
 	for {
 		r, err := c.ff.NextAttr(expected)
@@ -161,7 +161,7 @@ func driveObject[S, F, A any](c *cursor, p stepper[S, F, A], frame F, expected j
 			return err
 		}
 		if act >= actDescend && c.trace != nil {
-			c.trace.State = p.stateID(frame) // back in this frame
+			c.trace.SetState(p.stateID(frame)) // back in this frame
 		}
 		if done {
 			// G4: attribute names are unique, so no further attribute of
@@ -181,7 +181,7 @@ func driveArray[S, F, A any](c *cursor, p stepper[S, F, A], frame F, expected js
 	defer func() { c.depth-- }()
 	s.Advance(1) // consume '['
 	if c.trace != nil {
-		c.trace.State = p.stateID(frame)
+		c.trace.SetState(p.stateID(frame))
 	}
 	idx := 0
 	if constrained && lo > 0 {
@@ -216,7 +216,7 @@ func driveArray[S, F, A any](c *cursor, p stepper[S, F, A], frame F, expected js
 			return err
 		}
 		if act >= actDescend && c.trace != nil {
-			c.trace.State = p.stateID(frame)
+			c.trace.SetState(p.stateID(frame))
 		}
 		if constrained && idx+1 >= hi {
 			// G5: the range is exhausted — jump straight from here rather

@@ -77,6 +77,10 @@ type navFrame struct {
 // rescans; re-open the document to revisit earlier values.
 var ErrCursorPassed = errors.New("on-demand: cursor already passed value")
 
+// ErrPreviousBind wraps ErrCursorPassed for a NavValue handed out before
+// the navigator's latest bind: its offsets point into the old buffer.
+var ErrPreviousBind = fmt.Errorf("%w: value from a previous bind", ErrCursorPassed)
+
 // NavValue identifies one JSON value the navigator handed out: its
 // first byte, its syntactic type, and the descent depth it lives at.
 // A NavValue stays navigable only while the cursor has not moved past
@@ -89,6 +93,10 @@ type NavValue struct {
 	depth int
 	gen   uint32
 }
+
+// Live reports whether v was handed out since the latest bind. Every
+// navigation answers a value that is not live with ErrPreviousBind.
+func (n *Navigator) Live(v NavValue) bool { return v.gen == n.gen }
 
 // SetTrace binds (or with nil unbinds) an explain trace.
 func (n *Navigator) SetTrace(t *telemetry.Trace) {
@@ -252,8 +260,8 @@ func (n *Navigator) Root() (NavValue, error) {
 // the cursor — v is opened and pushed. Any other state means the cursor
 // moved past v.
 func (n *Navigator) resume(v NavValue, kind jsonpath.ValueType) (*navFrame, error) {
-	if v.gen != n.gen {
-		return nil, fmt.Errorf("%w: value from a previous bind", ErrCursorPassed)
+	if !n.Live(v) {
+		return nil, ErrPreviousBind
 	}
 	if v.VType != kind {
 		return nil, fmt.Errorf("on-demand: %s navigation on %s value at %d", kind, v.VType, v.Pos)
@@ -462,8 +470,8 @@ func (n *Navigator) Elems(v NavValue, fn func(idx int, child NavValue) (bool, er
 // so chained decodes of one value stay valid. The span aliases the
 // input buffer under the same zero-copy rules as Sink.Span.
 func (n *Navigator) Raw(v NavValue) (int, int, error) {
-	if v.gen != n.gen {
-		return 0, 0, fmt.Errorf("%w: value from a previous bind", ErrCursorPassed)
+	if !n.Live(v) {
+		return 0, 0, ErrPreviousBind
 	}
 	if n.lastRawPos >= 0 && v.Pos == n.lastRawPos {
 		return n.lastRawStart, n.lastRawEnd, nil

@@ -87,9 +87,9 @@ type FF struct {
 	Stats Stats
 
 	// Trace, when non-nil, receives one bounded event per fast-forward
-	// movement (explain mode). The disabled path pays a single nil check
-	// inside charge — nothing else — so production runs are unaffected
-	// (enforced by the benchmark guard on BenchmarkRunLarge).
+	// movement (explain mode). A nil Trace's Record is a no-op inlined
+	// into charge, so the disabled path pays one branch per movement
+	// (scripts/lint.sh checks that both stay inlinable).
 	Trace *telemetry.Trace
 }
 
@@ -109,9 +109,7 @@ func (f *FF) Reset(s *stream.Stream) {
 func (f *FF) charge(g Group, start, end int, op string) {
 	if end > start {
 		f.Stats.SkippedBytes[g] += int64(end - start)
-		if f.Trace != nil {
-			f.Trace.Record(int(g), op, start, end)
-		}
+		f.Trace.Record(int(g), op, start, end)
 	}
 }
 

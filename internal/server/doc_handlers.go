@@ -20,7 +20,7 @@ import (
 // (persistent catalog, then in-memory index cache), so a repeat lookup
 // into a hot document navigates over prebuilt word masks.
 func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
-	s.m.docRequests.Add(1)
+	s.m.counts[docRequests].Add(1)
 	path := r.URL.Query().Get("get")
 	if path == "" {
 		s.jsonError(w, http.StatusBadRequest, errors.New("missing ?get= query parameter"))
@@ -32,13 +32,13 @@ func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.m.inFlight.Add(1)
-	defer s.m.inFlight.Add(-1)
+	s.m.counts[inFlight].Add(1)
+	defer s.m.counts[inFlight].Add(-1)
 	var body io.Reader = r.Body
 	if s.cfg.MaxBodyBytes > 0 {
 		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	}
-	body = &countingReader{r: body, n: &s.m.bytesIn}
+	body = &countingReader{r: body, n: &s.m.counts[bytesIn]}
 	data, err := io.ReadAll(body)
 	if err != nil {
 		s.requestError(w, err)
@@ -74,11 +74,9 @@ func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 		err = cerr
 	}
 	st := doc.Stats()
-	s.m.recordLatency.Observe(time.Since(t0))
-	s.m.addStats(st)
-	s.finishEngineSpan(sp, 0, st, err)
+	s.finishRecord(sp, 0, t0, st, err)
 	if err != nil {
-		s.m.recordErrors.Add(1)
+		s.m.counts[recordErrors].Add(1)
 		status := http.StatusBadRequest
 		if errors.Is(err, jsonski.ErrNotFound) {
 			status = http.StatusNotFound

@@ -97,7 +97,7 @@ func explainRequested(r *http.Request) bool {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s.m.queryRequests.Add(1)
+	s.m.counts[queryRequests].Add(1)
 	path := r.URL.Query().Get("path")
 	if path == "" {
 		s.jsonError(w, http.StatusBadRequest, errors.New("missing ?path= query parameter"))
@@ -138,9 +138,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			} else {
 				st, err = q.RunSink(rec, sink)
 			}
-			s.m.recordLatency.Observe(time.Since(t0))
-			s.m.addStats(st)
-			s.finishEngineSpan(sp, idx, st, err)
+			s.finishRecord(sp, idx, t0, st, err)
 			if !explain {
 				return nil, err
 			}
@@ -165,16 +163,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			default:
 				st, err = q.RunSink(data, sink)
 			}
-			s.m.recordLatency.Observe(time.Since(t0))
-			s.m.addStats(st)
-			s.finishEngineSpan(sp, 0, st, err)
+			s.finishRecord(sp, 0, t0, st, err)
 			return err
 		},
 	})
 }
 
 func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
-	s.m.multiRequests.Add(1)
+	s.m.counts[multiRequests].Add(1)
 	paths := r.URL.Query()["path"]
 	if len(paths) == 0 {
 		s.jsonError(w, http.StatusBadRequest, errors.New("missing ?path= query parameters"))
@@ -198,9 +194,7 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 			sp := rsp.StartChild("engine.run")
 			t0 := time.Now()
 			st, err := qs.Run(rec, multiLine(out, idx))
-			s.m.recordLatency.Observe(time.Since(t0))
-			s.m.addStats(st)
-			s.finishEngineSpan(sp, idx, st, err)
+			s.finishRecord(sp, idx, t0, st, err)
 			return nil, err
 		},
 		evalIndexed: func(out *bytes.Buffer, ix *jsonski.Index) error {
@@ -208,9 +202,7 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 			sp.SetBool("jsonski.indexed", true)
 			t0 := time.Now()
 			st, err := qs.RunIndexed(ix, multiLine(out, 0))
-			s.m.recordLatency.Observe(time.Since(t0))
-			s.m.addStats(st)
-			s.finishEngineSpan(sp, 0, st, err)
+			s.finishRecord(sp, 0, t0, st, err)
 			return err
 		},
 	})
@@ -233,13 +225,13 @@ func multiLine(buf *bytes.Buffer, idx int) func(jsonski.SetMatch) {
 // when the Content-Type says application/json, an NDJSON record stream
 // otherwise.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, ev evaluator) {
-	s.m.inFlight.Add(1)
-	defer s.m.inFlight.Add(-1)
+	s.m.counts[inFlight].Add(1)
+	defer s.m.counts[inFlight].Add(-1)
 	var body io.Reader = r.Body
 	if s.cfg.MaxBodyBytes > 0 {
 		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	}
-	body = &countingReader{r: body, n: &s.m.bytesIn}
+	body = &countingReader{r: body, n: &s.m.counts[bytesIn]}
 
 	if ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); ct == "application/json" {
 		s.serveSingle(w, r, body, ev)
@@ -333,7 +325,7 @@ func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, body io.Rea
 		trace, err = ev.eval(buf, data, 0)
 	}
 	if err != nil {
-		s.m.recordErrors.Add(1)
+		s.m.counts[recordErrors].Add(1)
 		s.jsonError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -416,7 +408,7 @@ func (s *Server) serveSingleStreaming(w http.ResponseWriter, r *http.Request, da
 		defer ix.Release()
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	cw := &countingWriter{w: w, n: &s.m.bytesOut}
+	cw := &countingWriter{w: w, n: &s.m.counts[bytesOut]}
 	bw := responseBufPool.Get().(*bufio.Writer)
 	bw.Reset(cw)
 	defer func() {
@@ -424,7 +416,7 @@ func (s *Server) serveSingleStreaming(w http.ResponseWriter, r *http.Request, da
 		responseBufPool.Put(bw)
 	}()
 	if err := ev.single(hideFlush{bw}, data, ix); err != nil {
-		s.m.recordErrors.Add(1)
+		s.m.counts[recordErrors].Add(1)
 		if cw.sent == 0 {
 			s.jsonError(w, http.StatusBadRequest, err)
 			return
@@ -564,8 +556,8 @@ func (s *Server) streamRecords(w http.ResponseWriter, r *http.Request, body io.R
 				trail.add(b.First+i, trace)
 			}
 		}
-		s.m.recordErrors.Add(b.errs)
-		s.m.requestErrors.Add(b.errs)
+		s.m.counts[recordErrors].Add(b.errs)
+		s.m.counts[requestErrors].Add(b.errs)
 		if b.out.Len() > 0 {
 			s.write(w, b.out.Bytes())
 			wroteAny = true
@@ -635,7 +627,7 @@ loop:
 	case errors.Is(submitErr, errPoolClosed):
 		// Already reported.
 	case readErr != nil && ctx.Err() != nil:
-		s.m.cancelledReads.Add(1)
+		s.m.counts[cancelledReads].Add(1)
 	case readErr != nil:
 		s.streamError(w, wroteAny, requestStatus(readErr), readErr)
 		flush()
@@ -679,7 +671,7 @@ func (s *Server) streamError(w http.ResponseWriter, wroteAny bool, status int, e
 
 // jsonError sends a {"error": ...} response with the given status.
 func (s *Server) jsonError(w http.ResponseWriter, status int, err error) {
-	s.m.requestErrors.Add(1)
+	s.m.counts[requestErrors].Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	w.WriteHeader(status)
@@ -692,7 +684,7 @@ func (s *Server) jsonError(w http.ResponseWriter, status int, err error) {
 // writeErrorLine appends an NDJSON error line to an already-started
 // stream. record is -1 when the error is not tied to one record.
 func (s *Server) writeErrorLine(w http.ResponseWriter, record int, err error) {
-	s.m.requestErrors.Add(1)
+	s.m.counts[requestErrors].Add(1)
 	s.write(w, errorLine(record, err))
 }
 

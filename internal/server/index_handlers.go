@@ -46,7 +46,7 @@ func (s *Server) handleIndexPut(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.MaxBodyBytes > 0 {
 		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	}
-	body = &countingReader{r: body, n: &s.m.bytesIn}
+	body = &countingReader{r: body, n: &s.m.counts[bytesIn]}
 	data, err := io.ReadAll(body)
 	if err != nil {
 		s.requestError(w, err)

@@ -12,31 +12,45 @@ import (
 	"jsonski/internal/telemetry"
 )
 
-// metrics holds the server's live counters, expvar-style: individually
-// atomic monotonic counters (plus one in-flight gauge) and lock-free
-// latency histograms, readable at any time without locks. Engine
-// counters are fed from jsonski.Stats as each record finishes, so
-// /metrics reflects requests still in progress.
+// counter names one of the server's live counters. The constants are
+// declared in snapshot's load order: the skipped groups come before the
+// scanned and engine input byte totals that addStats writes ahead of
+// them, so a ratio read while a record finishes can read low, never
+// high.
+type counter int
+
+const (
+	skippedG1 counter = iota // skippedG1+g counts group g's bytes
+	skippedG2
+	skippedG3
+	skippedG4
+	skippedG5
+	scannedBytes
+	recordErrors
+	matches
+	records
+	engineInBytes
+	queryRequests
+	multiRequests
+	docRequests
+	requestErrors
+	inFlight // a gauge: requests in progress
+	bytesIn
+	bytesOut
+	cancelledReads
+	numCounters
+)
+
+// metrics holds the server's live counters, expvar-style: one atomic
+// per counter and lock-free latency histograms, readable at any time
+// without locks. Engine counters are fed from jsonski.Stats as each
+// record finishes, so /metrics reflects requests still in progress.
 type metrics struct {
-	queryRequests  atomic.Int64
-	multiRequests  atomic.Int64
-	requestErrors  atomic.Int64
-	inFlight       atomic.Int64
-	bytesIn        atomic.Int64
-	bytesOut       atomic.Int64
-	records        atomic.Int64
-	matches        atomic.Int64
-	engineInBytes  atomic.Int64
-	scannedBytes   atomic.Int64
-	skipped        [fastforward.NumGroups]atomic.Int64
-	recordErrors   atomic.Int64
-	cancelledReads atomic.Int64
-	docRequests    atomic.Int64
+	counts [numCounters]atomic.Int64
 
 	// queryLatency, multiLatency, and docLatency time whole requests per
 	// endpoint (observed in ServeHTTP); recordLatency times individual
-	// record evaluations across the endpoints (observed in the eval
-	// closures and the /doc lookup).
+	// record evaluations across the endpoints (observed in finishRecord).
 	queryLatency  telemetry.Histogram
 	multiLatency  telemetry.Histogram
 	recordLatency telemetry.Histogram
@@ -50,13 +64,13 @@ type metrics struct {
 // totals at least as new — derived skip ratios can undershoot briefly
 // but never exceed reality.
 func (m *metrics) addStats(st jsonski.Stats) {
-	m.records.Add(1)
-	m.matches.Add(st.Matches)
-	m.engineInBytes.Add(st.InputBytes)
-	m.scannedBytes.Add(st.ScannedBytes())
+	m.counts[records].Add(1)
+	m.counts[matches].Add(st.Matches)
+	m.counts[engineInBytes].Add(st.InputBytes)
+	m.counts[scannedBytes].Add(st.ScannedBytes())
 	for g, v := range st.SkippedBytes {
 		if v != 0 {
-			m.skipped[g].Add(v)
+			m.counts[skippedG1+counter(g)].Add(v)
 		}
 	}
 }
@@ -230,25 +244,43 @@ type promSnapshot struct {
 	docLatency    telemetry.HistSnapshot
 }
 
-// snapshot is the single reader of the live metric atomics. Load order
-// pairs with addStats's write order: the per-group skipped counters are
-// read before matches, records, and (last) the engine input-byte total,
-// so every derived ratio divides a possibly-stale numerator by an
+// counterFields maps each counter to its /metrics field. snapshot loads
+// every counter through it, so a counter without a row is a nil pointer
+// on every scrape.
+func (out *metricsSnapshot) counterFields() [numCounters]*int64 {
+	e := &out.Engine
+	return [numCounters]*int64{
+		skippedG1:      &e.SkippedBytes[0],
+		skippedG2:      &e.SkippedBytes[1],
+		skippedG3:      &e.SkippedBytes[2],
+		skippedG4:      &e.SkippedBytes[3],
+		skippedG5:      &e.SkippedBytes[4],
+		scannedBytes:   &e.ScannedBytes,
+		recordErrors:   &e.RecordErrors,
+		matches:        &e.Matches,
+		records:        &e.Records,
+		engineInBytes:  &e.InputBytes,
+		queryRequests:  &out.Requests.Query,
+		multiRequests:  &out.Requests.Multi,
+		docRequests:    &out.Requests.Doc,
+		requestErrors:  &out.Requests.Errors,
+		inFlight:       &out.Requests.InFlight,
+		bytesIn:        &out.IO.BytesIn,
+		bytesOut:       &out.IO.BytesOut,
+		cancelledReads: &out.IO.CancelledReads,
+	}
+}
+
+// snapshot is the single reader of the live metric atomics. It loads
+// them in counter order, which pairs with addStats's write order: every
+// derived ratio divides a possibly-stale numerator by an
 // at-least-as-fresh denominator — a scrape racing a record can read a
 // ratio that is momentarily low, never one above the true value.
 func (s *Server) snapshot() promSnapshot {
 	var out promSnapshot
-	for g := range s.m.skipped {
-		out.Engine.SkippedBytes[g] = s.m.skipped[g].Load()
+	for c, f := range out.counterFields() {
+		*f = s.m.counts[c].Load()
 	}
-	// scannedBytes is read after the groups (it is written before them),
-	// so the derived skip ratio's denominator is at least as fresh as its
-	// numerator.
-	out.Engine.ScannedBytes = s.m.scannedBytes.Load()
-	out.Engine.RecordErrors = s.m.recordErrors.Load()
-	out.Engine.Matches = s.m.matches.Load()
-	out.Engine.Records = s.m.records.Load()
-	out.Engine.InputBytes = s.m.engineInBytes.Load()
 
 	var st jsonski.Stats
 	st.Matches = out.Engine.Matches
@@ -264,15 +296,6 @@ func (s *Server) snapshot() promSnapshot {
 	if total := ffTotal + out.Engine.ScannedBytes; total > 0 {
 		out.Engine.SkipRatio = float64(ffTotal) / float64(total)
 	}
-
-	out.Requests.Query = s.m.queryRequests.Load()
-	out.Requests.Multi = s.m.multiRequests.Load()
-	out.Requests.Doc = s.m.docRequests.Load()
-	out.Requests.Errors = s.m.requestErrors.Load()
-	out.Requests.InFlight = s.m.inFlight.Load()
-	out.IO.BytesIn = s.m.bytesIn.Load()
-	out.IO.BytesOut = s.m.bytesOut.Load()
-	out.IO.CancelledReads = s.m.cancelledReads.Load()
 
 	cs := s.cache.Stats()
 	out.Cache.Hits = cs.Hits
@@ -343,6 +366,93 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.write(w, append(b, '\n'))
 }
 
+// promFamily is one /metrics/prom family: its HELP and TYPE lines and
+// its samples. Each sample's label value goes under the family's label
+// name; a family with one unlabelled sample leaves both empty. A family
+// with a when flag renders only while the flag is set.
+type promFamily struct {
+	name, help, typ, label string
+	when                   *bool
+	samples                []promValue
+}
+
+// promValue is one sample: its label value and a pointer into the
+// snapshot, a *int64, *int, *bool, *float64 or *telemetry.HistSnapshot.
+type promValue struct {
+	label string
+	v     any
+}
+
+func one(v any) []promValue { return []promValue{{v: v}} }
+
+// families lists every /metrics/prom family but jsonski_build_info, in
+// exposition order, with samples pointing into s.
+func (s *promSnapshot) families() []promFamily {
+	groups := make([]promValue, len(s.Engine.SkippedBytes))
+	for g := range groups {
+		groups[g] = promValue{fastforward.Group(g).String(), &s.Engine.SkippedBytes[g]}
+	}
+	ic, cat, tr := &s.IndexCache, &s.Catalog, &s.Trace
+	return []promFamily{
+		{"jsonski_requests_total", "Requests served, by endpoint.", "counter", "endpoint", nil,
+			[]promValue{{"query", &s.Requests.Query}, {"multi", &s.Requests.Multi}, {"doc", &s.Requests.Doc}}},
+		{"jsonski_request_errors_total", "Requests or records that produced an error response or error line.", "counter", "", nil, one(&s.Requests.Errors)},
+		{"jsonski_in_flight_requests", "Evaluation requests currently being served.", "gauge", "", nil, one(&s.Requests.InFlight)},
+		{"jsonski_io_bytes_total", "Bytes moved over HTTP, by direction.", "counter", "direction", nil,
+			[]promValue{{"in", &s.IO.BytesIn}, {"out", &s.IO.BytesOut}}},
+		{"jsonski_records_total", "JSON records evaluated.", "counter", "", nil, one(&s.Engine.Records)},
+		{"jsonski_record_errors_total", "Records whose evaluation failed.", "counter", "", nil, one(&s.Engine.RecordErrors)},
+		{"jsonski_matches_total", "Values emitted by the query engines.", "counter", "", nil, one(&s.Engine.Matches)},
+		{"jsonski_engine_input_bytes_total", "Bytes handed to the query engines.", "counter", "", nil, one(&s.Engine.InputBytes)},
+		{"jsonski_skipped_bytes_total", "Bytes fast-forwarded over, by paper group G1..G5.", "counter", "group", nil, groups},
+		{"jsonski_fast_forward_ratio", "Fraction of engine input bytes fast-forwarded over.", "gauge", "", nil, one(&s.Engine.FastForwardRatio)},
+		// Skip-efficiency cost accounting: the per-group fast-forward
+		// charges (same counters as jsonski_skipped_bytes_total, under the
+		// "ff" name that pairs with the scanned-byte complement), the
+		// scanned total, and the ratio derived from exactly those two.
+		{"jsonski_ff_bytes_total", "Bytes fast-forwarded over, by Table 1 charge group G1..G5.", "counter", "group", nil, groups},
+		{"jsonski_scanned_bytes_total", "Bytes the engines examined rather than fast-forwarded over.", "counter", "", nil, one(&s.Engine.ScannedBytes)},
+		{"jsonski_skip_ratio", "Fast-forwarded fraction of all charged bytes: ff / (ff + scanned).", "gauge", "", nil, one(&s.Engine.SkipRatio)},
+		{"jsonski_cancelled_reads_total", "Request bodies abandoned because the client went away.", "counter", "", nil, one(&s.IO.CancelledReads)},
+
+		{"jsonski_cache_events_total", "Compiled-query cache events.", "counter", "event", nil,
+			[]promValue{{"hit", &s.Cache.Hits}, {"miss", &s.Cache.Misses}, {"eviction", &s.Cache.Evictions}}},
+		{"jsonski_cache_entries", "Compiled queries resident in the LRU cache.", "gauge", "", nil, one(&s.Cache.Size)},
+		{"jsonski_cache_hit_ratio", "Compiled-query cache hit ratio.", "gauge", "", nil, one(&s.Cache.HitRate)},
+
+		{"jsonski_index_cache_enabled", "Whether the structural-index cache is enabled.", "gauge", "", nil, one(&ic.Enabled)},
+		{"jsonski_index_cache_events_total", "Structural-index cache events.", "counter", "event", &ic.Enabled,
+			[]promValue{{"hit", &ic.Hits}, {"miss", &ic.Misses}, {"eviction", &ic.Evictions}}},
+		{"jsonski_index_cache_bytes", "Bytes of documents resident in the structural-index cache.", "gauge", "", &ic.Enabled, one(&ic.Bytes)},
+		{"jsonski_index_cache_hit_ratio", "Structural-index cache hit ratio.", "gauge", "", &ic.Enabled, one(&ic.HitRate)},
+
+		{"jsonski_catalog_enabled", "Whether the persistent index catalog (-index-dir) is enabled.", "gauge", "", nil, one(&cat.Enabled)},
+		{"jsonski_catalog_events_total", "Persistent index catalog events.", "counter", "event", &cat.Enabled, []promValue{
+			{"hit", &cat.Hits}, {"miss", &cat.Misses}, {"open", &cat.Opens}, {"build", &cat.Builds},
+			{"eviction", &cat.Evictions}, {"invalidated", &cat.Invalidated}}},
+		{"jsonski_catalog_entries", "Serialized index sidecars resident in the catalog.", "gauge", "", &cat.Enabled, one(&cat.Entries)},
+		{"jsonski_catalog_bytes", "On-disk bytes of cataloged sidecars.", "gauge", "", &cat.Enabled, one(&cat.Bytes)},
+		{"jsonski_catalog_hit_ratio", "Catalog hit ratio on single-document queries.", "gauge", "", &cat.Enabled, one(&cat.HitRate)},
+
+		{"jsonski_workers", "Evaluation worker goroutines.", "gauge", "", nil, one(&s.Workers.Count)},
+		{"jsonski_worker_queue_depth", "Accepted-but-unstarted evaluation tasks (batches of NDJSON records).", "gauge", "", nil, one(&s.Workers.QueueDepth)},
+		{"jsonski_worker_queue_capacity", "Worker queue capacity.", "gauge", "", nil, one(&s.Workers.QueueCapacity)},
+
+		{"jsonski_request_duration_seconds", "Whole-request latency, by endpoint.", "histogram", "endpoint", nil,
+			[]promValue{{"query", &s.queryLatency}, {"multi", &s.multiLatency}, {"doc", &s.docLatency}}},
+		{"jsonski_record_duration_seconds", "Single-record evaluation latency.", "histogram", "", nil, one(&s.recordLatency)},
+
+		{"jsonski_trace_enabled", "Whether distributed tracing is enabled.", "gauge", "", nil, one(&tr.Enabled)},
+		{"jsonski_trace_spans_total", "Trace spans, by pipeline outcome.", "counter", "outcome", &tr.Enabled, []promValue{
+			{"started", &tr.SpansStarted}, {"sampled", &tr.SpansSampled}, {"forced", &tr.SpansForced},
+			{"dropped", &tr.SpansDropped}, {"exported", &tr.SpansExported}}},
+		{"jsonski_trace_export_batches_total", "Span batches handed to the trace sinks.", "counter", "", &tr.Enabled, one(&tr.ExportBatches)},
+		{"jsonski_trace_export_errors_total", "Trace sink writes that failed (POST or file).", "counter", "", &tr.Enabled, one(&tr.ExportErrors)},
+
+		{"jsonski_uptime_seconds", "Seconds since the server started.", "gauge", "", nil, one(&s.UptimeSeconds)},
+	}
+}
+
 // handleProm serves GET /metrics/prom: the same counters as the JSON
 // snapshot — taken from the same single read of the atomics — in the
 // Prometheus text exposition format, plus the latency histograms in
@@ -351,140 +461,30 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	snap := s.snapshot()
 	w.Header().Set("Content-Type", telemetry.ContentType)
 	p := telemetry.NewPromWriter(w)
-
-	p.Header("jsonski_requests_total", "Requests served, by endpoint.", "counter")
-	p.Int("jsonski_requests_total", []telemetry.Label{{Name: "endpoint", Value: "query"}}, snap.Requests.Query)
-	p.Int("jsonski_requests_total", []telemetry.Label{{Name: "endpoint", Value: "multi"}}, snap.Requests.Multi)
-	p.Int("jsonski_requests_total", []telemetry.Label{{Name: "endpoint", Value: "doc"}}, snap.Requests.Doc)
-	p.Header("jsonski_request_errors_total", "Requests or records that produced an error response or error line.", "counter")
-	p.Int("jsonski_request_errors_total", nil, snap.Requests.Errors)
-	p.Header("jsonski_in_flight_requests", "Evaluation requests currently being served.", "gauge")
-	p.Int("jsonski_in_flight_requests", nil, snap.Requests.InFlight)
-
-	p.Header("jsonski_io_bytes_total", "Bytes moved over HTTP, by direction.", "counter")
-	p.Int("jsonski_io_bytes_total", []telemetry.Label{{Name: "direction", Value: "in"}}, snap.IO.BytesIn)
-	p.Int("jsonski_io_bytes_total", []telemetry.Label{{Name: "direction", Value: "out"}}, snap.IO.BytesOut)
-
-	p.Header("jsonski_records_total", "JSON records evaluated.", "counter")
-	p.Int("jsonski_records_total", nil, snap.Engine.Records)
-	p.Header("jsonski_record_errors_total", "Records whose evaluation failed.", "counter")
-	p.Int("jsonski_record_errors_total", nil, snap.Engine.RecordErrors)
-	p.Header("jsonski_matches_total", "Values emitted by the query engines.", "counter")
-	p.Int("jsonski_matches_total", nil, snap.Engine.Matches)
-	p.Header("jsonski_engine_input_bytes_total", "Bytes handed to the query engines.", "counter")
-	p.Int("jsonski_engine_input_bytes_total", nil, snap.Engine.InputBytes)
-	p.Header("jsonski_skipped_bytes_total", "Bytes fast-forwarded over, by paper group G1..G5.", "counter")
-	for g, v := range snap.Engine.SkippedBytes {
-		p.Int("jsonski_skipped_bytes_total",
-			[]telemetry.Label{{Name: "group", Value: fastforward.Group(g).String()}}, v)
-	}
-	p.Header("jsonski_fast_forward_ratio", "Fraction of engine input bytes fast-forwarded over.", "gauge")
-	p.Value("jsonski_fast_forward_ratio", nil, snap.Engine.FastForwardRatio)
-	// Skip-efficiency cost accounting: the per-group fast-forward charges
-	// (same counters as jsonski_skipped_bytes_total, under the "ff" name
-	// that pairs with the scanned-byte complement below), the scanned
-	// total, and the ratio derived from exactly those two families.
-	p.Header("jsonski_ff_bytes_total", "Bytes fast-forwarded over, by Table 1 charge group G1..G5.", "counter")
-	for g, v := range snap.Engine.SkippedBytes {
-		p.Int("jsonski_ff_bytes_total",
-			[]telemetry.Label{{Name: "group", Value: fastforward.Group(g).String()}}, v)
-	}
-	p.Header("jsonski_scanned_bytes_total", "Bytes the engines examined rather than fast-forwarded over.", "counter")
-	p.Int("jsonski_scanned_bytes_total", nil, snap.Engine.ScannedBytes)
-	p.Header("jsonski_skip_ratio", "Fast-forwarded fraction of all charged bytes: ff / (ff + scanned).", "gauge")
-	p.Value("jsonski_skip_ratio", nil, snap.Engine.SkipRatio)
-	p.Header("jsonski_cancelled_reads_total", "Request bodies abandoned because the client went away.", "counter")
-	p.Int("jsonski_cancelled_reads_total", nil, snap.IO.CancelledReads)
-
-	p.Header("jsonski_cache_events_total", "Compiled-query cache events.", "counter")
-	for _, e := range []struct {
-		ev string
-		v  int64
-	}{{"hit", snap.Cache.Hits}, {"miss", snap.Cache.Misses}, {"eviction", snap.Cache.Evictions}} {
-		p.Int("jsonski_cache_events_total", []telemetry.Label{{Name: "event", Value: e.ev}}, e.v)
-	}
-	p.Header("jsonski_cache_entries", "Compiled queries resident in the LRU cache.", "gauge")
-	p.Int("jsonski_cache_entries", nil, int64(snap.Cache.Size))
-	p.Header("jsonski_cache_hit_ratio", "Compiled-query cache hit ratio.", "gauge")
-	p.Value("jsonski_cache_hit_ratio", nil, snap.Cache.HitRate)
-
-	p.Header("jsonski_index_cache_enabled", "Whether the structural-index cache is enabled.", "gauge")
-	p.Int("jsonski_index_cache_enabled", nil, boolGauge(snap.IndexCache.Enabled))
-	if snap.IndexCache.Enabled {
-		p.Header("jsonski_index_cache_events_total", "Structural-index cache events.", "counter")
-		for _, e := range []struct {
-			ev string
-			v  int64
-		}{{"hit", snap.IndexCache.Hits}, {"miss", snap.IndexCache.Misses}, {"eviction", snap.IndexCache.Evictions}} {
-			p.Int("jsonski_index_cache_events_total", []telemetry.Label{{Name: "event", Value: e.ev}}, e.v)
+	for _, f := range snap.families() {
+		if f.when != nil && !*f.when {
+			continue
 		}
-		p.Header("jsonski_index_cache_bytes", "Bytes of documents resident in the structural-index cache.", "gauge")
-		p.Int("jsonski_index_cache_bytes", nil, snap.IndexCache.Bytes)
-		p.Header("jsonski_index_cache_hit_ratio", "Structural-index cache hit ratio.", "gauge")
-		p.Value("jsonski_index_cache_hit_ratio", nil, snap.IndexCache.HitRate)
-	}
-
-	p.Header("jsonski_catalog_enabled", "Whether the persistent index catalog (-index-dir) is enabled.", "gauge")
-	p.Int("jsonski_catalog_enabled", nil, boolGauge(snap.Catalog.Enabled))
-	if snap.Catalog.Enabled {
-		p.Header("jsonski_catalog_events_total", "Persistent index catalog events.", "counter")
-		for _, e := range []struct {
-			ev string
-			v  int64
-		}{
-			{"hit", snap.Catalog.Hits}, {"miss", snap.Catalog.Misses},
-			{"open", snap.Catalog.Opens}, {"build", snap.Catalog.Builds},
-			{"eviction", snap.Catalog.Evictions}, {"invalidated", snap.Catalog.Invalidated},
-		} {
-			p.Int("jsonski_catalog_events_total", []telemetry.Label{{Name: "event", Value: e.ev}}, e.v)
+		p.Header(f.name, f.help, f.typ)
+		for _, sv := range f.samples {
+			var labels []telemetry.Label
+			if f.label != "" {
+				labels = []telemetry.Label{{Name: f.label, Value: sv.label}}
+			}
+			switch v := sv.v.(type) {
+			case *int64:
+				p.Int(f.name, labels, *v)
+			case *int:
+				p.Int(f.name, labels, int64(*v))
+			case *bool:
+				p.Int(f.name, labels, boolGauge(*v))
+			case *float64:
+				p.Value(f.name, labels, *v)
+			case *telemetry.HistSnapshot:
+				p.Histogram(f.name, labels, *v)
+			}
 		}
-		p.Header("jsonski_catalog_entries", "Serialized index sidecars resident in the catalog.", "gauge")
-		p.Int("jsonski_catalog_entries", nil, int64(snap.Catalog.Entries))
-		p.Header("jsonski_catalog_bytes", "On-disk bytes of cataloged sidecars.", "gauge")
-		p.Int("jsonski_catalog_bytes", nil, snap.Catalog.Bytes)
-		p.Header("jsonski_catalog_hit_ratio", "Catalog hit ratio on single-document queries.", "gauge")
-		p.Value("jsonski_catalog_hit_ratio", nil, snap.Catalog.HitRate)
 	}
-
-	p.Header("jsonski_workers", "Evaluation worker goroutines.", "gauge")
-	p.Int("jsonski_workers", nil, int64(snap.Workers.Count))
-	p.Header("jsonski_worker_queue_depth", "Accepted-but-unstarted evaluation tasks (batches of NDJSON records).", "gauge")
-	p.Int("jsonski_worker_queue_depth", nil, int64(snap.Workers.QueueDepth))
-	p.Header("jsonski_worker_queue_capacity", "Worker queue capacity.", "gauge")
-	p.Int("jsonski_worker_queue_capacity", nil, int64(snap.Workers.QueueCapacity))
-
-	p.Header("jsonski_request_duration_seconds", "Whole-request latency, by endpoint.", "histogram")
-	p.Histogram("jsonski_request_duration_seconds",
-		[]telemetry.Label{{Name: "endpoint", Value: "query"}}, snap.queryLatency)
-	p.Histogram("jsonski_request_duration_seconds",
-		[]telemetry.Label{{Name: "endpoint", Value: "multi"}}, snap.multiLatency)
-	p.Histogram("jsonski_request_duration_seconds",
-		[]telemetry.Label{{Name: "endpoint", Value: "doc"}}, snap.docLatency)
-	p.Header("jsonski_record_duration_seconds", "Single-record evaluation latency.", "histogram")
-	p.Histogram("jsonski_record_duration_seconds", nil, snap.recordLatency)
-
-	p.Header("jsonski_trace_enabled", "Whether distributed tracing is enabled.", "gauge")
-	p.Int("jsonski_trace_enabled", nil, boolGauge(snap.Trace.Enabled))
-	if snap.Trace.Enabled {
-		p.Header("jsonski_trace_spans_total", "Trace spans, by pipeline outcome.", "counter")
-		for _, e := range []struct {
-			ev string
-			v  int64
-		}{
-			{"started", snap.Trace.SpansStarted}, {"sampled", snap.Trace.SpansSampled},
-			{"forced", snap.Trace.SpansForced}, {"dropped", snap.Trace.SpansDropped},
-			{"exported", snap.Trace.SpansExported},
-		} {
-			p.Int("jsonski_trace_spans_total", []telemetry.Label{{Name: "outcome", Value: e.ev}}, e.v)
-		}
-		p.Header("jsonski_trace_export_batches_total", "Span batches handed to the trace sinks.", "counter")
-		p.Int("jsonski_trace_export_batches_total", nil, snap.Trace.ExportBatches)
-		p.Header("jsonski_trace_export_errors_total", "Trace sink writes that failed (POST or file).", "counter")
-		p.Int("jsonski_trace_export_errors_total", nil, snap.Trace.ExportErrors)
-	}
-
-	p.Header("jsonski_uptime_seconds", "Seconds since the server started.", "gauge")
-	p.Value("jsonski_uptime_seconds", nil, snap.UptimeSeconds)
 	b := telemetry.BuildInfo()
 	p.Header("jsonski_build_info", "Build metadata; the value is always 1.", "gauge")
 	p.Int("jsonski_build_info", []telemetry.Label{

@@ -304,7 +304,7 @@ func (s *Server) Close() {
 // write sends b to the client, accounting bytes out.
 func (s *Server) write(w io.Writer, b []byte) {
 	n, _ := w.Write(b)
-	s.m.bytesOut.Add(int64(n))
+	s.m.counts[bytesOut].Add(int64(n))
 }
 
 // countingReader tallies bytes drawn from a request body.

@@ -229,14 +229,60 @@ func TestPromExposition(t *testing.T) {
 		validateHistogram(t, fam, byName)
 	}
 
-	// The exposition and JSON snapshot must agree (same single read path).
+	// The exposition and JSON snapshot must agree (same single read
+	// path): every counter's samples equal its /metrics field. No traffic
+	// runs between the two scrapes; only bytes_out moves, by the first
+	// scrape's body.
 	snap := getMetrics(t, ts.URL)
-	var recs float64
-	for _, s := range byName["jsonski_records_total"] {
-		recs = s.value
+	if snap.Engine.Records != 40 {
+		t.Errorf("json records = %d, want 40", snap.Engine.Records)
 	}
-	if int64(recs) != snap.Engine.Records && snap.Engine.Records != 40 {
-		t.Errorf("prom records %v vs json %d", recs, snap.Engine.Records)
+	var layout promSnapshot
+	fields, jsonFields := layout.counterFields(), snap.counterFields()
+	for c := range fields {
+		if counter(c) == bytesOut {
+			continue
+		}
+		// TestEveryCounterReachesProm checks each counter has a sample.
+		for _, f := range layout.families() {
+			for _, sv := range f.samples {
+				if sv.v != any(fields[c]) {
+					continue
+				}
+				got, ok := promValueOf(byName[f.name], f.label, sv.label)
+				if !ok || got != float64(*jsonFields[c]) {
+					t.Errorf("%s{%s=%q} = %v (present %v), /metrics field = %d",
+						f.name, f.label, sv.label, got, ok, *jsonFields[c])
+				}
+			}
+		}
+	}
+}
+
+// promValueOf finds the sample whose label (if any) has the given value.
+func promValueOf(samples []promSample, label, value string) (float64, bool) {
+	for _, s := range samples {
+		if label == "" || s.labels[label] == value {
+			return s.value, true
+		}
+	}
+	return 0, false
+}
+
+// TestEveryCounterReachesProm checks that each counter's /metrics field
+// is a sample of some /metrics/prom family that always renders.
+func TestEveryCounterReachesProm(t *testing.T) {
+	var snap promSnapshot
+	rendered := map[any]bool{}
+	for _, f := range snap.families() {
+		for _, sv := range f.samples {
+			rendered[sv.v] = rendered[sv.v] || f.when == nil
+		}
+	}
+	for c, f := range snap.counterFields() {
+		if !rendered[f] {
+			t.Errorf("counter %d: its /metrics field is on no always-rendered /metrics/prom family", c)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"time"
 
 	"jsonski"
 	"jsonski/internal/fastforward"
@@ -14,16 +15,19 @@ import (
 // explain output is an opt-in debugging surface.
 const spanTraceEvents = 64
 
-// finishEngineSpan annotates one record evaluation's span with the
-// paper's cost accounting — matches, input vs scanned bytes, and the
-// per-group fast-forward charges of Table 1 — plus the movement log
-// when the run recorded one, then ends the span. The span (possibly
-// nil: unsampled request) is consumed; callers must not touch it after.
-func (s *Server) finishEngineSpan(sp *telemetry.Span, idx int, st jsonski.Stats, err error) {
+// finishRecord accounts one record evaluation that started at t0: its
+// latency and engine counters, then, on a sampled span, the paper's
+// cost accounting — matches, input vs scanned bytes, and the per-group
+// fast-forward charges of Table 1 — plus the movement log when the run
+// recorded one. It ends the span (possibly nil: unsampled request);
+// callers must not touch it after.
+func (s *Server) finishRecord(sp *telemetry.Span, idx int, t0 time.Time, st jsonski.Stats, err error) {
 	// End unconditionally (a no-op on non-recording spans), so the span
 	// reaches End() on the unsampled early-return path too — the same
 	// contract spanend enforces at every StartChild site.
 	defer sp.End()
+	s.m.recordLatency.Observe(time.Since(t0))
+	s.m.addStats(st)
 	if !sp.Recording() {
 		return
 	}

@@ -21,17 +21,15 @@ const DefaultTraceLimit = 4096
 // explain mode is on. It is owned by a single engine and is not safe
 // for concurrent use; the engine publishes it only after the run ends.
 //
-// The disabled path is a nil *Trace: the fast-forward layer performs a
-// single nil check per charge and nothing else, so running without
-// explain costs nothing measurable (enforced by the benchmark guard).
+// The disabled path is a nil *Trace. Every method is a no-op on a nil
+// receiver, as Span's are, so callers hold a trace unconditionally;
+// Record stays small enough to inline into the fast-forward layer's
+// charge, so a disabled trace costs one branch per movement.
 type Trace struct {
-	// State is the automaton state the engine last reported; Record
-	// copies it into each event. The engine updates it as it descends.
-	State int
-
 	events  []Event
 	limit   int
 	dropped int
+	state   int
 }
 
 // NewTrace returns a trace holding at most limit events (DefaultTraceLimit
@@ -43,35 +41,42 @@ func NewTrace(limit int) *Trace {
 	return &Trace{limit: limit}
 }
 
+// SetState sets the automaton state the engine last reported; Record
+// copies it into each event. The engine updates it as it descends.
+func (t *Trace) SetState(q int) {
+	if t != nil {
+		t.state = q
+	}
+}
+
 // Record appends one event, or counts it as dropped once the cap is hit.
+// Keep it one switch: charge inlines it only while it stays this small.
 func (t *Trace) Record(group int, op string, start, end int) {
-	if len(t.events) >= t.limit {
+	switch {
+	case t == nil: // explain off
+	case len(t.events) >= t.limit:
 		t.dropped++
-		return
-	}
-	if t.events == nil {
-		n := t.limit
-		if n > 256 {
-			n = 256
+	default:
+		if t.events == nil {
+			t.events = make([]Event, 0, min(t.limit, 256))
 		}
-		t.events = make([]Event, 0, n)
+		t.events = append(t.events, Event{Group: group, Op: op, Start: start, End: end, State: t.state})
 	}
-	t.events = append(t.events, Event{Group: group, Op: op, Start: start, End: end, State: t.State})
 }
 
 // Events returns the recorded events. The slice aliases the trace's
-// internal storage and is invalidated by Reset.
-func (t *Trace) Events() []Event { return t.events }
+// internal storage and grows with later Records.
+func (t *Trace) Events() []Event {
+	if t == nil {
+		return nil
+	}
+	return t.events
+}
 
 // Dropped returns how many events were discarded beyond the cap.
-func (t *Trace) Dropped() int { return t.dropped }
-
-// Limit returns the event cap.
-func (t *Trace) Limit() int { return t.limit }
-
-// Reset clears the log for reuse, keeping the cap and storage.
-func (t *Trace) Reset() {
-	t.events = t.events[:0]
-	t.dropped = 0
-	t.State = 0
+func (t *Trace) Dropped() int {
+	if t == nil {
+		return 0
+	}
+	return t.dropped
 }

@@ -4,9 +4,9 @@ import "testing"
 
 func TestTraceRecordsEvents(t *testing.T) {
 	tr := NewTrace(10)
-	tr.State = 3
+	tr.SetState(3)
 	tr.Record(0, "GoOverObj", 5, 40)
-	tr.State = 4
+	tr.SetState(4)
 	tr.Record(3, "GoToObjEnd", 41, 100)
 	ev := tr.Events()
 	if len(ev) != 2 {
@@ -33,24 +33,31 @@ func TestTraceCapBoundsAdversarialInput(t *testing.T) {
 	}
 }
 
+// TestTraceDefaultLimit checks that a non-positive limit means
+// DefaultTraceLimit: that many events are kept and the rest dropped.
 func TestTraceDefaultLimit(t *testing.T) {
-	if got := NewTrace(0).Limit(); got != DefaultTraceLimit {
-		t.Fatalf("default limit = %d, want %d", got, DefaultTraceLimit)
+	tr := NewTrace(0)
+	for i := 0; i < DefaultTraceLimit+100; i++ {
+		tr.Record(1, "GoOverPriElem", i, i+1)
+	}
+	if got := len(tr.Events()); got != DefaultTraceLimit {
+		t.Fatalf("default limit: events = %d, want %d", got, DefaultTraceLimit)
+	}
+	if tr.Dropped() != 100 {
+		t.Fatalf("dropped = %d, want 100", tr.Dropped())
 	}
 }
 
-func TestTraceReset(t *testing.T) {
-	tr := NewTrace(2)
-	tr.Record(0, "x", 0, 1)
-	tr.Record(0, "x", 1, 2)
-	tr.Record(0, "x", 2, 3)
-	tr.Reset()
-	if len(tr.Events()) != 0 || tr.Dropped() != 0 || tr.State != 0 {
-		t.Fatalf("reset did not clear: %d events, %d dropped, state %d",
-			len(tr.Events()), tr.Dropped(), tr.State)
+// TestNilTraceIsInert calls every Trace method on a nil receiver: the
+// disabled path holds a nil *Trace and calls through it unguarded.
+func TestNilTraceIsInert(t *testing.T) {
+	var tr *Trace
+	tr.SetState(7)
+	tr.Record(0, "GoOverObj", 0, 10)
+	if ev := tr.Events(); ev != nil {
+		t.Errorf("nil trace Events = %v, want nil", ev)
 	}
-	tr.Record(0, "y", 0, 1)
-	if len(tr.Events()) != 1 {
-		t.Fatalf("trace unusable after reset")
+	if n := tr.Dropped(); n != 0 {
+		t.Errorf("nil trace Dropped = %d, want 0", n)
 	}
 }

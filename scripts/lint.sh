@@ -5,12 +5,17 @@
 #                 tree, testdata fixtures included, is gofmt-formatted
 #   go vet        over both workspace modules (the library and tools/lint)
 #   jsonskilint   the custom invariant analyzers (poolpair, escapespan,
-#                 chargesite, atomicpair, tracenil, spanend,
-#                 mapownership, navgen; see DESIGN §5d and §5i). The
-#                 dataflow-based passes (poolpair, spanend, escapespan,
-#                 mapownership, navgen) are path-sensitive: they reason
-#                 over the CFG, so "released on some paths but not all"
-#                 is a finding, not a false negative.
+#                 chargesite, spanend, mapownership, navgen; see DESIGN
+#                 §5d and §5i). The dataflow-based passes (poolpair,
+#                 spanend, escapespan, mapownership, navgen) are
+#                 path-sensitive: they reason over the CFG, so "released
+#                 on some paths but not all" is a finding, not a false
+#                 negative.
+#   inline gate   `go build -gcflags=-m` must report that
+#                 (*FF).charge and (*Trace).Record can inline: a nil
+#                 *telemetry.Trace (explain off) then costs one branch
+#                 per fast-forward movement. Exact on any machine,
+#                 unlike a timing bound.
 #   staticcheck   over both workspace modules (CI pins the version;
 #                 locally the step is skipped with a warning when not
 #                 installed). `staticcheck ./...` from the root does not
@@ -49,6 +54,22 @@ echo "==> go vet ./... (tools/lint module)"
 
 echo "==> jsonskilint ./..."
 go run ./tools/lint/cmd/jsonskilint ./... || fail=1
+
+echo "==> untraced hot path stays inlined"
+for check in './internal/fastforward can inline (*FF).charge' \
+             './internal/telemetry can inline (*Trace).Record'; do
+    pkg=${check%% *}
+    want=${check#* }
+    if out=$(go build -gcflags=-m "$pkg" 2>&1); then
+        if ! grep -qF "$want" <<<"$out"; then
+            echo "inline gate: go build -gcflags=-m $pkg no longer prints \"$want\"" >&2
+            fail=1
+        fi
+    else
+        echo "$out" >&2
+        fail=1
+    fi
+done
 
 if command -v staticcheck >/dev/null 2>&1; then
     echo "==> staticcheck ./... (library module)"

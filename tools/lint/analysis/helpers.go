@@ -25,30 +25,6 @@ func InspectStack(files []*ast.File, fn func(n ast.Node, stack []ast.Node) bool)
 	}
 }
 
-// EnclosingFuncs returns the function declarations and literals on the
-// stack, innermost last.
-func EnclosingFuncs(stack []ast.Node) []ast.Node {
-	var out []ast.Node
-	for _, n := range stack {
-		switch n.(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// FuncBody returns the body of a *ast.FuncDecl or *ast.FuncLit.
-func FuncBody(fn ast.Node) *ast.BlockStmt {
-	switch fn := fn.(type) {
-	case *ast.FuncDecl:
-		return fn.Body
-	case *ast.FuncLit:
-		return fn.Body
-	}
-	return nil
-}
-
 // Deref strips one level of pointer from t.
 func Deref(t types.Type) types.Type {
 	if p, ok := t.(*types.Pointer); ok {
@@ -104,23 +80,6 @@ func CalleeName(call *ast.CallExpr) string {
 		return fun.Sel.Name
 	}
 	return ""
-}
-
-// ExprEqual reports whether two expressions are syntactically the same
-// chain of identifiers and selections (a.b.c). It deliberately covers
-// only that shape — the receivers and guards the analyzers compare are
-// all plain selector chains.
-func ExprEqual(a, b ast.Expr) bool {
-	a, b = Unparen(a), Unparen(b)
-	switch a := a.(type) {
-	case *ast.Ident:
-		b, ok := b.(*ast.Ident)
-		return ok && a.Name == b.Name
-	case *ast.SelectorExpr:
-		b, ok := b.(*ast.SelectorExpr)
-		return ok && a.Sel.Name == b.Sel.Name && ExprEqual(a.X, b.X)
-	}
-	return false
 }
 
 // RootIdent returns the identifier at the base of a selector / index /

@@ -12,15 +12,11 @@
 //	escapespan   — zero-copy spans are not retained without a copy,
 //	               including through callees (interprocedural summaries)
 //	chargesite   — fast-forward movements charge a named Table 1 group
-//	atomicpair   — server metric atomics are read only in snapshot(),
-//	               and every counter reaches both metric expositions
-//	tracenil     — trace hooks stay behind a nil check
 //	spanend      — started telemetry spans reach End() on every path
 //	mapownership — bitmap rows of a possibly store-mapped Index are
 //	               never written through or handed to a sync.Pool
-//	navgen       — on-demand navigation values are not used after
-//	               their document rebinds, and terminal errors are
-//	               checked or gated
+//	navgen       — on-demand terminal errors are checked, or the value
+//	               is gated with Err() or Exists()
 //
 // With -json, findings are emitted as a JSON array of
 // {analyzer, file, line, column, message} objects instead of text.

@@ -1,24 +1,18 @@
-// Package navgen enforces the on-demand navigation contract of the
-// lazy document API (DESIGN §5i, the PR that added Document/Value):
-// navigation values index into the buffer their Document was bound to
-// when they were created, so
+// Package navgen enforces the on-demand error contract of the lazy
+// document API (DESIGN §5i): a mis-typed or failed navigation hop parks
+// its error on the value, and the deferred-error terminals (Raw,
+// String, Int, Float, Bool, Unmarshal) report it. Such a terminal must
+// not have its error blank-discarded unless the value was gated with
+// Err() or Exists() on that path — the error is lost otherwise.
 //
-//   - a Value obtained before a rebind-style operation on its document
-//     (Reset, ResetIndexed, Bind, BindIndexed, BindWindow, Close) must
-//     not be used after it — its offsets point into the previous
-//     buffer, which may be gone or reused;
-//   - the deferred-error terminals (Raw, String, Int, Float, Bool,
-//     Unmarshal) must not have their error blank-discarded unless the
-//     value was gated with Err() or Exists() on that path — the
-//     navigation error a mis-typed hop parked on the value is lost
-//     otherwise.
+// The gate is a forward dataflow over the control-flow graph
+// (analysis/cfg + analysis/dataflow), so a gate on one branch arm does
+// not launder an ungated use on another path, and re-assigning the
+// value clears its gate. The package defining the value type is exempt.
 //
-// Both checks run as a forward dataflow over the control-flow graph
-// (analysis/cfg + analysis/dataflow), so a Value re-derived after the
-// rebind (the per-record loop shape: Reset, Root, navigate) is clean,
-// while a Value that is stale on only one branch arm is still flagged.
-// The package defining the document type is exempt — the library's own
-// internals manage the binding they implement.
+// A value used after its document re-binds needs no rule: the library
+// answers it with ErrCursorPassed on every method, Err() and Exists()
+// included.
 package navgen
 
 import (
@@ -32,16 +26,8 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "navgen",
-	Doc:  "on-demand navigation values must not outlive their document's binding, and terminal errors must not be discarded",
+	Doc:  "on-demand terminal errors must be checked or gated with Err()/Exists()",
 	Run:  run,
-}
-
-func isInvalidator(name string) bool {
-	switch name {
-	case "Reset", "ResetIndexed", "Bind", "BindIndexed", "BindWindow", "Close":
-		return true
-	}
-	return false
 }
 
 func isTerminal(name string) bool {
@@ -69,20 +55,6 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isDocType reports whether t is document-like: a named type whose
-// pointer method set has Root and a rebinding operation. Types defined
-// in the package under analysis are exempt.
-func isDocType(pass *analysis.Pass, t types.Type) bool {
-	n := analysis.NamedOf(t)
-	if n == nil || n.Obj().Pkg() == nil || n.Obj().Pkg() == pass.Pkg {
-		return false
-	}
-	if !analysis.HasPtrMethod(n, "Root") {
-		return false
-	}
-	return analysis.HasPtrMethod(n, "Reset") || analysis.HasPtrMethod(n, "Bind")
-}
-
 // isValueType reports whether t is navigation-value-like: a named type
 // whose method set has both Err and Raw. Defining package exempt.
 func isValueType(pass *analysis.Pass, t types.Type) bool {
@@ -93,79 +65,11 @@ func isValueType(pass *analysis.Pass, t types.Type) bool {
 	return analysis.HasPtrMethod(n, "Err") && analysis.HasPtrMethod(n, "Raw")
 }
 
-// fact is the dataflow state: the set of navigation values known stale
-// (their document rebound since derivation) and the set gated by an
+// fact is the dataflow state: the navigation values gated by an
 // Err()/Exists() check.
-type fact struct {
-	stale   map[types.Object]bool
-	checked map[types.Object]bool
-}
+type fact map[types.Object]bool
 
 func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	// docOf maps each navigation value variable to the document variable
-	// it (transitively) derives from — a flow-insensitive binding layer
-	// under the flow-sensitive staleness.
-	docOf := map[types.Object]types.Object{}
-
-	// deriveDoc resolves the document behind an expression: d.Root(),
-	// v.Get("x") for an already-bound v, or a plain copy of one.
-	var deriveDoc func(e ast.Expr) types.Object
-	deriveDoc = func(e ast.Expr) types.Object {
-		switch x := analysis.Unparen(e).(type) {
-		case *ast.Ident:
-			obj := objOf(pass, x)
-			if obj == nil {
-				return nil
-			}
-			if isDocType(pass, obj.Type()) {
-				return obj
-			}
-			return docOf[obj]
-		case *ast.CallExpr:
-			if sel, ok := analysis.Unparen(x.Fun).(*ast.SelectorExpr); ok {
-				if isValueType(pass, pass.TypeOf(x)) {
-					return deriveDoc(sel.X)
-				}
-			}
-		case *ast.SelectorExpr:
-			return deriveDoc(x.X)
-		}
-		return nil
-	}
-
-	anyValues := false
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(body, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok && n != body {
-				return true // literals share the parent's doc variables
-			}
-			a, ok := n.(*ast.AssignStmt)
-			if !ok || len(a.Lhs) != len(a.Rhs) {
-				return true
-			}
-			for i := range a.Lhs {
-				id, ok := analysis.Unparen(a.Lhs[i]).(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				obj := objOf(pass, id)
-				if obj == nil || docOf[obj] != nil || !isValueType(pass, obj.Type()) {
-					continue
-				}
-				if d := deriveDoc(a.Rhs[i]); d != nil {
-					docOf[obj] = d
-					anyValues = true
-					changed = true
-				}
-			}
-			return true
-		})
-	}
-
-	// Without bound values the only check left is terminal-error
-	// discarding, which needs no binding map — but short-circuit when
-	// there is nothing value-typed at all.
 	hasTerminals := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -178,45 +82,34 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 		}
 		return true
 	})
-	if !anyValues && !hasTerminals {
+	if !hasTerminals {
 		return
 	}
 
 	g := cfg.New(body)
-	spec := dataflow.Spec[*fact]{
-		Dir: dataflow.Forward,
-		Entry: func() *fact {
-			return &fact{stale: map[types.Object]bool{}, checked: map[types.Object]bool{}}
-		},
-		Clone: func(f *fact) *fact {
-			out := &fact{stale: map[types.Object]bool{}, checked: map[types.Object]bool{}}
-			for k := range f.stale {
-				out.stale[k] = true
-			}
-			for k := range f.checked {
-				out.checked[k] = true
+	spec := dataflow.Spec[fact]{
+		Dir:   dataflow.Forward,
+		Entry: func() fact { return fact{} },
+		Clone: func(f fact) fact {
+			out := fact{}
+			for k := range f {
+				out[k] = true
 			}
 			return out
 		},
-		Join: func(dst, src *fact) bool {
+		// Gates join leniently (union): gated on any path is enough to
+		// stay silent — the lint prefers missed gates to noise.
+		Join: func(dst, src fact) bool {
 			changed := false
-			for k := range src.stale {
-				if !dst.stale[k] {
-					dst.stale[k] = true
-					changed = true
-				}
-			}
-			// checked joins leniently (union): gated on any path is enough
-			// to stay silent — the lint prefers missed gates to noise.
-			for k := range src.checked {
-				if !dst.checked[k] {
-					dst.checked[k] = true
+			for k := range src {
+				if !dst[k] {
+					dst[k] = true
 					changed = true
 				}
 			}
 			return changed
 		},
-		Transfer: func(n ast.Node, f *fact) {
+		Transfer: func(n ast.Node, f fact) {
 			ast.Inspect(n, func(m ast.Node) bool {
 				switch m := m.(type) {
 				case *ast.FuncLit:
@@ -226,37 +119,18 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 					if !ok {
 						return true
 					}
-					recv := receiverObj(pass, sel.X)
-					if recv == nil {
-						return true
-					}
-					if isInvalidator(sel.Sel.Name) && isDocType(pass, recv.Type()) {
-						for v, d := range docOf {
-							if d == recv {
-								f.stale[v] = true
-							}
-						}
-					}
-					if (sel.Sel.Name == "Err" || sel.Sel.Name == "Exists") && isValueType(pass, recv.Type()) {
-						f.checked[recv] = true
+					if recv := receiverObj(pass, sel.X); recv != nil &&
+						(sel.Sel.Name == "Err" || sel.Sel.Name == "Exists") && isValueType(pass, recv.Type()) {
+						f[recv] = true
 					}
 				case *ast.AssignStmt:
-					if len(m.Lhs) != len(m.Rhs) {
-						return true
-					}
-					for i := range m.Lhs {
-						id, ok := analysis.Unparen(m.Lhs[i]).(*ast.Ident)
-						if !ok {
-							continue
+					// A re-assigned value is un-gated.
+					for _, lhs := range m.Lhs {
+						if id, ok := analysis.Unparen(lhs).(*ast.Ident); ok {
+							if obj := objOf(pass, id); obj != nil {
+								delete(f, obj)
+							}
 						}
-						obj := objOf(pass, id)
-						if obj == nil || docOf[obj] == nil {
-							continue
-						}
-						// Re-derivation after the rebind makes the value
-						// fresh again — and un-gated.
-						delete(f.stale, obj)
-						delete(f.checked, obj)
 					}
 				}
 				return true
@@ -266,38 +140,24 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	res := dataflow.Run(g, spec)
 
 	reported := map[ast.Node]bool{}
-	res.Replay(g, spec, func(b *cfg.Block, n ast.Node, before *fact) {
-		// The fact must evolve WITHIN the node for correct intra-node
-		// sequencing (d.Reset(b); use is two nodes, but v := d.Root()
-		// rebinding and using v in one statement must see the pre-state
-		// for uses textually before the assign). Statement granularity is
-		// enough here: check uses against the before-state, which matches
-		// how the old analyzers read.
+	res.Replay(g, spec, func(b *cfg.Block, n ast.Node, before fact) {
+		// Uses are checked against the statement's before-state, so a
+		// gate and a terminal in one statement do not count as gated.
 		ast.Inspect(n, func(m ast.Node) bool {
 			switch m := m.(type) {
 			case *ast.FuncLit:
 				return false
 			case *ast.CallExpr:
 				sel, ok := analysis.Unparen(m.Fun).(*ast.SelectorExpr)
-				if !ok {
+				if !ok || !isTerminal(sel.Sel.Name) || !isValueType(pass, pass.TypeOf(sel.X)) {
 					return true
 				}
 				recv := receiverObj(pass, sel.X)
-				// Stale use: any method call on a stale value.
-				if recv != nil && before.stale[recv] && docOf[recv] != nil && !reported[m] {
+				gated := recv != nil && before[recv]
+				if !gated && discardsError(pass, n, m) && !reported[m] {
 					reported[m] = true
-					pass.Reportf(m.Pos(), "value %q is used after its document %q was rebound; offsets point into the previous buffer — re-derive it from Root()",
-						recv.Name(), docOf[recv].Name())
-					return true
-				}
-				// Terminal with a discarded error on an un-gated value.
-				if isTerminal(sel.Sel.Name) && isValueType(pass, pass.TypeOf(sel.X)) {
-					gated := recv != nil && before.checked[recv]
-					if !gated && discardsError(pass, n, m) && !reported[m] {
-						reported[m] = true
-						pass.Reportf(m.Pos(), "%s discards its error; a mis-typed or failed navigation is silently lost — check the error or gate with Err()/Exists() first",
-							terminalLabel(recv, sel.Sel.Name))
-					}
+					pass.Reportf(m.Pos(), "%s discards its error; a mis-typed or failed navigation is silently lost — check the error or gate with Err()/Exists() first",
+						terminalLabel(recv, sel.Sel.Name))
 				}
 			}
 			return true

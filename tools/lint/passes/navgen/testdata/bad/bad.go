@@ -2,52 +2,9 @@ package bad
 
 import "fix/ondemand"
 
-// Values used after their document was rebound, and terminals with
-// discarded errors. Every shape here needs path or flow sensitivity:
-// an AST walker cannot tell a stale use from the canonical
-// reset-then-re-derive loop.
-
-func staleAfterReset(d *ondemand.Document, a, b []byte) {
-	d.Reset(a)
-	v := d.Root().Get("x")
-	d.Reset(b)
-	raw, err := v.Raw() // want `value "v" is used after its document "d" was rebound`
-	_, _ = raw, err
-}
-
-func staleOneArm(d *ondemand.Document, a, b []byte, flip bool) {
-	d.Reset(a)
-	v := d.Root()
-	if flip {
-		d.Reset(b)
-	}
-	s, err := v.String() // want `value "v" is used after its document "d" was rebound`
-	_, _ = s, err
-}
-
-func staleAfterClose(d *ondemand.Document, data []byte) {
-	d.Reset(data)
-	v := d.Root().Index(0)
-	if err := d.Close(); err != nil {
-		return
-	}
-	n, err := v.Int() // want `value "v" is used after its document "d" was rebound`
-	_, _ = n, err
-}
-
-// Loop-carried staleness: on the back edge the Reset at the top of the
-// body invalidates the value derived by the previous iteration before
-// the guard runs.
-func staleInLoop(d *ondemand.Document, bufs [][]byte) {
-	var v ondemand.Value
-	for _, b := range bufs {
-		d.Reset(b)
-		if v.Exists() { // want `value "v" is used after its document "d" was rebound`
-			return
-		}
-		v = d.Root()
-	}
-}
+// Terminals with discarded errors on values no Err()/Exists() gates on
+// the path to them. The last two shapes need flow sensitivity: a gate
+// that comes after the use, or one that a re-assignment cleared.
 
 func ignoredTerminal(d *ondemand.Document, data []byte) []byte {
 	d.Reset(data)
@@ -59,4 +16,25 @@ func ignoredTerminal(d *ondemand.Document, data []byte) []byte {
 func ignoredUnmarshal(d *ondemand.Document, data []byte, out *struct{ X int }) {
 	d.Reset(data)
 	d.Root().Unmarshal(out) // want `Unmarshal\(\) discards its error`
+}
+
+func gateAfterUse(d *ondemand.Document, data []byte) int64 {
+	d.Reset(data)
+	v := d.Root().Index(0)
+	n, _ := v.Int() // want `v.Int\(\) discards its error`
+	if !v.Exists() {
+		return 0
+	}
+	return n
+}
+
+func gateClearedByReassign(d *ondemand.Document, data []byte) string {
+	d.Reset(data)
+	v := d.Root().Get("a")
+	if v.Err() != nil {
+		return ""
+	}
+	v = d.Root().Get("b")
+	s, _ := v.String() // want `v.String\(\) discards its error`
+	return s
 }

@@ -2,10 +2,9 @@ package good
 
 import "fix/ondemand"
 
-// The canonical per-record loop: rebind, then re-derive from Root().
-// The value assigned after the Reset is fresh — flow sensitivity is
-// what keeps this silent.
-func rebindLoop(d *ondemand.Document, bufs [][]byte) {
+// The per-record loop: the Err() check gates the blank-error terminal
+// on every path that reaches it.
+func gatedLoop(d *ondemand.Document, bufs [][]byte) {
 	for _, b := range bufs {
 		d.Reset(b)
 		v := d.Root().Get("x")
@@ -37,22 +36,4 @@ func existsGate(d *ondemand.Document, data []byte) int64 {
 	}
 	n, _ := v.Int()
 	return n
-}
-
-// Rebinding after the last use of the value is fine.
-func closeAfterUse(d *ondemand.Document, data []byte) error {
-	d.Reset(data)
-	v := d.Root()
-	if v.Err() != nil {
-		return v.Err()
-	}
-	return d.Close()
-}
-
-// Two documents: rebinding one does not stale the other's values.
-func twoDocs(d1, d2 *ondemand.Document, a, b []byte) error {
-	d1.Reset(a)
-	v := d1.Root()
-	d2.Reset(b)
-	return v.Unmarshal(new(int))
 }

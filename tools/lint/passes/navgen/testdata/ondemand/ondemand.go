@@ -1,14 +1,12 @@
 // Package ondemand mimics the shape of the real on-demand API the
-// analyzer polices: a Document with rebinding operations and a Value
-// with deferred-error terminals.
+// analyzer polices: a Document bound to one buffer at a time and a
+// Value with deferred-error terminals.
 package ondemand
 
 // Document owns a binding to one input buffer at a time.
 type Document struct{ data []byte }
 
 func (d *Document) Reset(data []byte) { d.data = data }
-func (d *Document) Bind(data []byte)  { d.data = data }
-func (d *Document) Close() error      { d.data = nil; return nil }
 func (d *Document) Root() Value       { return Value{} }
 
 // Value is a cursor into the document's current buffer. Navigation

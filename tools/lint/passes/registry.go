@@ -7,14 +7,12 @@ package passes
 
 import (
 	"jsonski/tools/lint/analysis"
-	"jsonski/tools/lint/passes/atomicpair"
 	"jsonski/tools/lint/passes/chargesite"
 	"jsonski/tools/lint/passes/escapespan"
 	"jsonski/tools/lint/passes/mapownership"
 	"jsonski/tools/lint/passes/navgen"
 	"jsonski/tools/lint/passes/poolpair"
 	"jsonski/tools/lint/passes/spanend"
-	"jsonski/tools/lint/passes/tracenil"
 )
 
 // All returns every registered analyzer, in the order the command runs
@@ -24,8 +22,6 @@ func All() []*analysis.Analyzer {
 		poolpair.Analyzer,
 		escapespan.Analyzer,
 		chargesite.Analyzer,
-		atomicpair.Analyzer,
-		tracenil.Analyzer,
 		spanend.Analyzer,
 		mapownership.Analyzer,
 		navgen.Analyzer,

@@ -44,7 +44,7 @@ var rules = ownership.Rules{
 	ReleaseRecv:   func(name string) bool { return name == "End" },
 	ReleaseArg:    nil,
 	// A span handed to an un-summarized callee is the callee's to End:
-	// the hand-off is visible at the call site (the finishEngineSpan
+	// the hand-off is visible at the call site (the finishRecord
 	// pattern). Summarized callees are held to their summary.
 	ArgHandOff: true,
 }

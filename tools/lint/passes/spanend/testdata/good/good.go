@@ -58,7 +58,7 @@ func transferReturnBound() *telemetry.Span {
 	return sp
 }
 
-// The finishEngineSpan pattern: a helper that Ends on the caller's
+// The finishRecord pattern: a helper that Ends on the caller's
 // behalf takes the span as an argument — a visible hand-off.
 func transferCallArg(root *telemetry.Span) {
 	sp := root.StartChild("engine.run")
