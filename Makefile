@@ -3,7 +3,7 @@
 # ./...` from the root does not cross the nested module boundary, so the
 # targets below spell both out.
 
-.PHONY: all build test race lint lint-one fuzz-smoke bench-smoke
+.PHONY: all build test test-386 cross race lint lint-one fuzz-smoke bench-smoke
 
 all: build test lint
 
@@ -14,6 +14,21 @@ build:
 test:
 	go test ./...
 	cd tools/lint && go test ./...
+
+# test-386 mirrors the CI test-386 job: the whole suite on the SWAR
+# classifier. 386 binaries run natively on amd64 hosts and build
+# without the amd64 AVX2 kernel, so no switch is needed (and -race is
+# not available on 386).
+test-386:
+	GOARCH=386 go test ./...
+
+# cross mirrors the CI cross-compile job: the store's GOOS-gated mmap
+# loader on both sides, and internal/bits where there is no vector
+# kernel.
+cross:
+	GOOS=darwin go build ./...
+	GOOS=windows go build ./...
+	GOARCH=arm64 go build ./...
 
 race:
 	go test -race ./...
@@ -44,6 +59,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzOnDemandDifferential$$' -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz '^FuzzStoreRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/store
 	go test -run '^$$' -fuzz '^FuzzNDJSONFraming$$' -fuzztime $(FUZZTIME) ./internal/ndjson
+	go test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime $(FUZZTIME) ./internal/bits
 
 # bench-smoke mirrors the CI bench-smoke job: the perf ledger under
 # bench/ is its own module outside go.work, so it is vetted and tested

@@ -22,7 +22,7 @@ func TestFmtBytes(t *testing.T) {
 		500:     "500B",
 		2 << 10: "2.0KB",
 		3 << 20: "3.0MB",
-		5 << 30: "5.0GB",
+		1 << 30: "1.0GB",
 	}
 	for in, want := range cases {
 		if got := fmtBytes(in); got != want {

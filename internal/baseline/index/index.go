@@ -1,10 +1,10 @@
 // Package index is the Pison/Mison-class baseline: structural-index
 // preprocessing (paper §2, Figure 3-(b)). Before any query runs, it
 // builds *leveled bitmaps* — one colon bitmap and one comma bitmap per
-// nesting level up to the query's depth — with the same SWAR substrate as
-// JSONSki. Queries then navigate the bitmaps: colons locate object
-// attributes, commas separate array elements, and value spans fall out of
-// the separator positions.
+// nesting level up to the query's depth — with the same stage-1
+// classifier as JSONSki (bits.Classify). Queries then navigate the
+// bitmaps: colons locate object attributes, commas separate array
+// elements, and value spans fall out of the separator positions.
 //
 // Like Pison, the index can be constructed speculatively in parallel
 // chunks (see parallel.go), but the whole input must be indexed before
@@ -54,7 +54,7 @@ func Build(data []byte, levels int) (*Index, error) {
 		ix.colons[l] = buf[2*l*words : (2*l+1)*words]
 		ix.commas[l] = buf[(2*l+1)*words : (2*l+2)*words]
 	}
-	var blk bits.Block
+	var m bits.Masks
 	var ec bits.EscapeCarry
 	var sc bits.StringCarry
 	depth := -1 // becomes 0 when the root '{'/'[' opens
@@ -64,12 +64,10 @@ func Build(data []byte, levels int) (*Index, error) {
 		if end > len(data) {
 			end = len(data)
 		}
-		blk.Load(data[base:end])
-		escaped := ec.Escaped(blk.EqMask('\\'))
-		quotes := blk.EqMask('"') &^ escaped
-		inStr := sc.InStringMask(quotes)
+		bits.Classify(&m, data[base:end])
+		inStr := sc.InStringMask(m.Quote &^ ec.Escaped(m.Backslash))
 		var err error
-		depth, err = ix.scatterWord(&blk, inStr, w, depth)
+		depth, err = ix.scatterWord(&m, inStr, w, depth)
 		if err != nil {
 			return nil, err
 		}
@@ -82,11 +80,11 @@ func Build(data []byte, levels int) (*Index, error) {
 
 // scatterWord distributes one word's structural bits into the per-level
 // bitmaps, tracking the nesting depth across the word.
-func (ix *Index) scatterWord(blk *bits.Block, inStr uint64, w, depth int) (int, error) {
-	opens := (blk.EqMask('{') | blk.EqMask('[')) &^ inStr
-	closes := (blk.EqMask('}') | blk.EqMask(']')) &^ inStr
-	colons := blk.EqMask(':') &^ inStr
-	commas := blk.EqMask(',') &^ inStr
+func (ix *Index) scatterWord(m *bits.Masks, inStr uint64, w, depth int) (int, error) {
+	opens := (m.LBrace | m.LBracket) &^ inStr
+	closes := (m.RBrace | m.RBracket) &^ inStr
+	colons := m.Colon &^ inStr
+	commas := m.Comma &^ inStr
 	// Fast path: when the whole word sits on one level, colon/comma bits
 	// transfer in bulk without per-bit iteration.
 	if opens|closes == 0 {

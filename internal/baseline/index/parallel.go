@@ -12,7 +12,7 @@ import (
 // the leveled bitmaps (paper §2 and Table 3: Pison's "Speculative
 // Parallelism"). The input is cut into word-aligned chunks:
 //
-//	A. (parallel) each chunk runs the SWAR classification pipeline
+//	A. (parallel) each chunk runs the stage-1 classification pipeline
 //	   assuming it starts with no pending escape, recording for BOTH
 //	   possible string polarities the open/close counts and the
 //	   resulting end state (speculation on the string state);
@@ -37,7 +37,7 @@ type chunkInfo struct {
 // analyzeChunk runs phase A over data[lo:hi) with the given escape carry.
 func analyzeChunk(data []byte, lo, hi int, escIn bool) chunkInfo {
 	var ci chunkInfo
-	var blk bits.Block
+	var m bits.Masks
 	ec := bits.EscapeCarry{}
 	if escIn {
 		ec = escapeCarrySeeded()
@@ -48,17 +48,15 @@ func analyzeChunk(data []byte, lo, hi int, escIn bool) chunkInfo {
 		if end > hi {
 			end = hi
 		}
-		blk.Load(data[base:end])
-		escaped := ec.Escaped(blk.EqMask('\\'))
-		quotes := blk.EqMask('"') &^ escaped
-		inStr := sc0.InStringMask(quotes)
+		bits.Classify(&m, data[base:end])
+		inStr := sc0.InStringMask(m.Quote &^ ec.Escaped(m.Backslash))
 		// Mask off padding bits beyond the chunk for counting.
 		valid := ^uint64(0)
 		if n := end - base; n < bits.WordSize {
 			valid = uint64(1)<<uint(n) - 1
 		}
-		opens := (blk.EqMask('{') | blk.EqMask('[')) & valid
-		closes := (blk.EqMask('}') | blk.EqMask(']')) & valid
+		opens := (m.LBrace | m.LBracket) & valid
+		closes := (m.RBrace | m.RBracket) & valid
 		ci.depthDelta[0] += bits.OnesCount(opens&^inStr) - bits.OnesCount(closes&^inStr)
 		ci.depthDelta[1] += bits.OnesCount(opens&inStr) - bits.OnesCount(closes&inStr)
 	}
@@ -177,7 +175,7 @@ func errUnbalanced(depth int) error {
 
 // scatterChunk is phase C for one chunk.
 func (ix *Index) scatterChunk(lo, hi int, escIn, inStrIn bool, depth int) error {
-	var blk bits.Block
+	var m bits.Masks
 	ec := bits.EscapeCarry{}
 	if escIn {
 		ec = escapeCarrySeeded()
@@ -191,12 +189,10 @@ func (ix *Index) scatterChunk(lo, hi int, escIn, inStrIn bool, depth int) error 
 		if end > hi {
 			end = hi
 		}
-		blk.Load(ix.data[base:end])
-		escaped := ec.Escaped(blk.EqMask('\\'))
-		quotes := blk.EqMask('"') &^ escaped
-		inStr := sc.InStringMask(quotes)
+		bits.Classify(&m, ix.data[base:end])
+		inStr := sc.InStringMask(m.Quote &^ ec.Escaped(m.Backslash))
 		var err error
-		depth, err = ix.scatterWord(&blk, inStr, base/bits.WordSize, depth)
+		depth, err = ix.scatterWord(&m, inStr, base/bits.WordSize, depth)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,6 @@
 // Package tape is the simdjson-class baseline: the two-stage
 // preprocessing scheme of Langdale & Lemire (VLDB-J 2019) restated on the
-// same SWAR substrate as JSONSki.
+// same stage-1 classifier as JSONSki (bits.Classify).
 //
 // Stage 1 scans the whole input with bit-parallel classification and
 // materializes a structural index: the positions of every structural
@@ -29,7 +29,7 @@ func BuildIndex(data []byte) []int32 {
 	// Preallocate on the JSON-typical density of ~1 structural per 6-8
 	// bytes; append grows it when the guess is short.
 	out := make([]int32, 0, len(data)/6+8)
-	var blk bits.Block
+	var cls bits.Masks
 	var ec bits.EscapeCarry
 	var sc bits.StringCarry
 	for base := 0; base < len(data); base += bits.WordSize {
@@ -37,13 +37,11 @@ func BuildIndex(data []byte) []int32 {
 		if end > len(data) {
 			end = len(data)
 		}
-		blk.Load(data[base:end])
-		escaped := ec.Escaped(blk.EqMask('\\'))
-		quotes := blk.EqMask('"') &^ escaped
+		bits.Classify(&cls, data[base:end])
+		quotes := cls.Quote &^ ec.Escaped(cls.Backslash)
 		inStr := sc.InStringMask(quotes)
-		m := (blk.EqMask('{') | blk.EqMask('}') |
-			blk.EqMask('[') | blk.EqMask(']') |
-			blk.EqMask(':') | blk.EqMask(',')) &^ inStr
+		m := (cls.LBrace | cls.RBrace | cls.LBracket | cls.RBracket |
+			cls.Colon | cls.Comma) &^ inStr
 		m |= quotes
 		for m != 0 {
 			out = append(out, int32(base+bits.TrailingZeros(m)))

@@ -64,3 +64,29 @@ func BenchmarkFullStringPipeline(b *testing.B) {
 		}
 	}
 }
+
+var masksSink Masks
+
+func BenchmarkClassify(b *testing.B) {
+	in := benchInput()
+	halves := []struct {
+		name   string
+		kernel func(*Masks, *[WordSize]byte)
+	}{
+		{"vector", classifyAVX2},
+		{"SWAR", classifySWAR},
+	}
+	for _, h := range halves {
+		b.Run(h.name, func(b *testing.B) {
+			if h.name == "vector" && !hasAVX2 {
+				b.Skip("no AVX2 on this CPU")
+			}
+			b.SetBytes(int64(len(in)))
+			for i := 0; i < b.N; i++ {
+				for off := 0; off+WordSize <= len(in); off += WordSize {
+					h.kernel(&masksSink, (*[WordSize]byte)(in[off:]))
+				}
+			}
+		})
+	}
+}

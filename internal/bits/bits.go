@@ -1,14 +1,27 @@
 // Package bits provides the word-level bit-parallel substrate that the
 // JSONSki streaming engine and the preprocessing baselines are built on.
 //
-// The paper's C++ implementation uses AVX2 intrinsics to classify 32-64
-// input bytes per instruction. Go has no stable intrinsics, so this package
-// implements the same dataflow with SWAR (SIMD-within-a-register): every
-// operation consumes a 64-byte block of input and produces 64-bit masks,
-// one bit per input byte, LSB-first (bit i of a word corresponds to byte i
-// of the block). "Next occurrence of X after pos" is therefore the lowest
-// set bit at or above pos, found with a trailing-zero count — the
-// little-endian mirror of the paper's mirrored bitmaps + lzcnt.
+// Every operation consumes a 64-byte block of input and produces 64-bit
+// masks, one bit per input byte, LSB-first (bit i of a word corresponds
+// to byte i of the block). "Next occurrence of X after pos" is therefore
+// the lowest set bit at or above pos, found with a trailing-zero count —
+// the little-endian mirror of the paper's mirrored bitmaps + lzcnt.
+//
+// Stage 1 has one entry point, Classify: it turns a block into the nine
+// raw masks (quote, backslash, the six structural characters and
+// whitespace). On amd64 CPUs with AVX2, chosen once by CPUID, it runs a
+// Go-assembly kernel that classifies 32 bytes per compare, as the
+// paper's C++ does with intrinsics. Elsewhere it runs a SWAR
+// (SIMD-within-a-register) emulation over eight 64-bit words, 8 bytes
+// per operation. The two halves are bit-identical; the SWAR half is also
+// the reference the differential tests check the kernel against.
+//
+// Block and its per-character methods (QuoteAndBackslashMasks, EqMask,
+// EqMask2, EqMask3Or, WhitespaceMask) are the SWAR primitives. Outside
+// this package only the streaming cursor's lazy SWAR path uses them,
+// classifying one mask at a time as a query asks for it. The escape and
+// string carries (EscapeCarry, StringCarry, PrefixXor) are shared by
+// both halves.
 package bits
 
 import (
@@ -63,8 +76,11 @@ func le64(b []byte) uint64 {
 type Block [8]uint64
 
 // Load fills the block from b. If fewer than 64 bytes remain, the tail is
-// padded with 0x00, which matches no metacharacter and is not a
-// whitespace/quote byte, so padding never fabricates structure.
+// padded with 0x00. Padding matches no metacharacter, quote or
+// backslash, so it never fabricates structure, but it is below 0x21 and
+// so reads as whitespace: WhitespaceMask (and Classify's WS mask) set
+// its bits, and stream.NewIndex stores them in the tail row. Callers
+// that care mask the tail off by the input length.
 func (blk *Block) Load(b []byte) {
 	if len(b) >= WordSize {
 		for i := 0; i < 8; i++ {
@@ -154,38 +170,6 @@ func (blk *Block) QuoteAndBackslashMasks() (quotes, backslash uint64) {
 		}
 	}
 	return quotes, backslash
-}
-
-// ClassifyStructural returns the masks of all six structural
-// metacharacters plus the colon-free whitespace mask in a single pass
-// over the block, sharing the word loads across every classification.
-// This is the build kernel of the shared structural index (stream.Index):
-// when a buffer is indexed once and queried many times, eagerly paying
-// all classifications here beats the lazy per-query Mask path.
-// Masks are raw (not string-filtered); the index build applies the
-// in-string filter itself.
-func (blk *Block) ClassifyStructural() (lbrace, rbrace, lbracket, rbracket, colon, comma, ws uint64) {
-	const (
-		pLBrace   = '{' * lsb8
-		pRBrace   = '}' * lsb8
-		pLBracket = '[' * lsb8
-		pRBracket = ']' * lsb8
-		pColon    = ':' * lsb8
-		pComma    = ',' * lsb8
-		pWS       = 0x21 * lsb8
-	)
-	for i := 0; i < 8; i++ {
-		w := blk[i]
-		sh := uint(8 * i)
-		lbrace |= movemask(eqMaskWord(w, pLBrace)) << sh
-		rbrace |= movemask(eqMaskWord(w, pRBrace)) << sh
-		lbracket |= movemask(eqMaskWord(w, pLBracket)) << sh
-		rbracket |= movemask(eqMaskWord(w, pRBracket)) << sh
-		colon |= movemask(eqMaskWord(w, pColon)) << sh
-		comma |= movemask(eqMaskWord(w, pComma)) << sh
-		ws |= movemask(ltFlags(w, pWS)) << sh
-	}
-	return
 }
 
 // EqMask3Or returns the union of three characters' masks, OR-ing the

@@ -657,7 +657,7 @@ func (p *parser) selectorInt() (int, error) {
 		return 0, p.errf("negative zero is not a valid index")
 	}
 	n, err := strconv.Atoi(p.src[start:p.pos])
-	if err != nil || n > maxSelectorInt || n < -maxSelectorInt {
+	if err != nil || int64(n) > maxSelectorInt || int64(n) < -maxSelectorInt {
 		return 0, p.errf("index out of range: %s", p.src[start:p.pos])
 	}
 	return n, nil

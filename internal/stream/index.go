@@ -100,9 +100,9 @@ func NewIndex(data []byte) *Index {
 	}
 
 	var (
-		blk bits.Block
-		ec  bits.EscapeCarry
-		sc  bits.StringCarry
+		m  bits.Masks
+		ec bits.EscapeCarry
+		sc bits.StringCarry
 	)
 	for w := 0; w < words; w++ {
 		base := w * bits.WordSize
@@ -110,21 +110,19 @@ func NewIndex(data []byte) *Index {
 		if end > len(data) {
 			end = len(data)
 		}
-		blk.Load(data[base:end])
-		quotes, backslash := blk.QuoteAndBackslashMasks()
-		quotes &^= ec.Escaped(backslash)
+		bits.Classify(&m, data[base:end])
+		quotes := m.Quote &^ ec.Escaped(m.Backslash)
 		inStr := sc.InStringMask(quotes)
-		lb, rb, lk, rk, co, cm, ws := blk.ClassifyStructural()
 		row := rows[w*idxStride : w*idxStride+idxStride]
 		row[idxInStr] = inStr
 		row[idxQuote] = quotes
-		row[idxWS] = ws
-		row[idxLBrace] = lb &^ inStr
-		row[idxRBrace] = rb &^ inStr
-		row[idxLBracket] = lk &^ inStr
-		row[idxRBracket] = rk &^ inStr
-		row[idxColon] = co &^ inStr
-		row[idxComma] = cm &^ inStr
+		row[idxWS] = m.WS
+		row[idxLBrace] = m.LBrace &^ inStr
+		row[idxRBrace] = m.RBrace &^ inStr
+		row[idxLBracket] = m.LBracket &^ inStr
+		row[idxRBracket] = m.RBracket &^ inStr
+		row[idxColon] = m.Colon &^ inStr
+		row[idxComma] = m.Comma &^ inStr
 	}
 
 	ix := &Index{data: data, words: words, rows: rows}

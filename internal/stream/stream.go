@@ -6,9 +6,13 @@
 // every word it resolves the string mask (unescaped quotes → in-string
 // bits, with escape and quote carries flowing across word boundaries) and
 // then serves metacharacter bitmaps with pseudo-metacharacters — the ones
-// inside JSON strings — already removed. Metacharacter masks are computed
-// lazily per word, mirroring the paper's "an interval bitmap should be
-// constructed after the prior one has been used and destroyed".
+// inside JSON strings — already removed. How the masks are built depends
+// on the classifier bits.Classify runs. With the AVX2 kernel one call
+// yields every class, so the word is resolved whole when it is loaded.
+// On the SWAR path each class costs a pass of its own, so masks are
+// computed lazily per word, mirroring the paper's "an interval bitmap
+// should be constructed after the prior one has been used and
+// destroyed".
 //
 // The string-mask carry is the one truly sequential part of the pipeline:
 // even when the caller fast-forwards, every intervening word's quote mask
@@ -54,10 +58,10 @@ type Stream struct {
 	limit int // logical end of input: len(data), or the window end
 
 	// idx, when non-nil, is a borrowed prebuilt structural index: loadWord
-	// copies the word's masks out of it instead of running the SWAR
-	// classification pipeline, and fast-forwards jump without folding the
-	// intervening words through the string carry (the index already
-	// resolved string state for the whole buffer).
+	// copies the word's masks out of it instead of classifying the word,
+	// and fast-forwards jump without folding the intervening words
+	// through the string carry (the index already resolved string state
+	// for the whole buffer).
 	idx *Index
 
 	wordBase int // absolute position of bit 0 of the cached word
@@ -65,15 +69,17 @@ type Stream struct {
 	inStr    uint64 // in-string mask of the cached word
 	quotes   uint64 // unescaped-quote mask of the cached word
 
-	masks        [NumMeta]uint64 // lazily computed, string-filtered
+	// The SWAR path fills the masks below lazily, flagging each as it is
+	// computed; the vector and indexed paths fill them all at load time.
+	masks        [NumMeta]uint64 // string-filtered
 	have         uint16          // bit i set when masks[i] is valid
-	ws           uint64          // whitespace mask (lazy, flagged by haveWS)
+	ws           uint64          // whitespace mask (flagged by haveWS)
 	haveWS       bool
-	stop         uint64 // union of '{','[',']' (lazy, for primitive runs)
+	stop         uint64 // union of '{','[',']' (for primitive runs)
 	haveStop     bool
-	attrStop     uint64 // union of '{','[','}' (lazy, for attribute runs)
+	attrStop     uint64 // union of '{','[','}' (for attribute runs)
 	haveAttrStop bool
-	term         uint64 // union of ',','}',']' (lazy, primitive terminators)
+	term         uint64 // union of ',','}',']' (primitive terminators)
 	haveTerm     bool
 
 	ec bits.EscapeCarry
@@ -170,7 +176,12 @@ func (s *Stream) EOF() bool { return s.pos >= s.limit }
 // is loaded directly — skipped words are never touched.
 func (s *Stream) loadWord(base int) {
 	if s.idx != nil {
-		s.loadIndexedWord(base)
+		s.wordBase = base
+		s.resolveRow(s.indexedRow(base))
+		return
+	}
+	if bits.Vectorized() {
+		s.loadVectorWord(base)
 		return
 	}
 	for s.wordBase < base {
@@ -209,33 +220,70 @@ func (s *Stream) loadWord(base int) {
 	}
 }
 
-// loadIndexedWord caches the word starting at base straight out of the
-// borrowed index: every mask the lazy pipeline would compute on demand
-// is already materialized, so the word is fully resolved (have = all)
-// with a handful of loads. Masks of the word that straddles the window
-// end are truncated so structure past the window stays invisible.
-func (s *Stream) loadIndexedWord(base int) {
-	s.wordBase = base
-	s.have = 1<<NumMeta - 1
-	s.haveWS = true
-	s.haveStop = true
-	s.haveAttrStop = true
-	s.haveTerm = true
-	if base >= s.limit {
-		s.quotes = 0
-		s.inStr = 0
-		s.masks = [NumMeta]uint64{}
-		s.ws = 0
-		s.stop = 0
-		s.attrStop = 0
-		s.term = 0
-		return
+// loadVectorWord is loadWord on the AVX2 kernel. Every skipped word
+// still folds its quotes through the carries, and the target word is
+// resolved whole, as an indexed word is: one Classify call yields all
+// nine masks, so a lazy cache would save nothing.
+func (s *Stream) loadVectorWord(base int) {
+	var m bits.Masks
+	for s.wordBase < base {
+		s.wordBase += bits.WordSize
+		if s.wordBase >= s.limit {
+			// Past EOF: empty masks, carries frozen.
+			s.resolveRow(&noRow, 0)
+			return
+		}
+		end := s.wordBase + bits.WordSize
+		if end > s.limit {
+			end = s.limit
+		}
+		bits.Classify(&m, s.data[s.wordBase:end])
+		quotes := m.Quote &^ s.ec.Escaped(m.Backslash)
+		inStr := s.sc.InStringMask(quotes)
+		s.WordsProcessed++
+		if s.wordBase == base {
+			row := [idxStride]uint64{
+				idxInStr:    inStr,
+				idxQuote:    quotes,
+				idxWS:       m.WS,
+				idxLBrace:   m.LBrace &^ inStr,
+				idxRBrace:   m.RBrace &^ inStr,
+				idxLBracket: m.LBracket &^ inStr,
+				idxRBracket: m.RBracket &^ inStr,
+				idxColon:    m.Colon &^ inStr,
+				idxComma:    m.Comma &^ inStr,
+			}
+			s.resolveRow(&row, ^uint64(0))
+		}
 	}
-	row := s.idx.row(base / bits.WordSize)
+}
+
+// noRow stands in for the row of a word past the end of input; it is
+// only ever read, with a zero valid mask.
+var noRow [idxStride]uint64
+
+// indexedRow returns the borrowed index's row for the word starting at
+// base, and the mask of its bits inside the window: the word that
+// straddles the window end is truncated so structure past the window
+// stays invisible.
+func (s *Stream) indexedRow(base int) (*[idxStride]uint64, uint64) {
+	if base >= s.limit {
+		return &noRow, 0
+	}
 	valid := ^uint64(0)
 	if rem := s.limit - base; rem < bits.WordSize {
 		valid = uint64(1)<<uint(rem) - 1
 	}
+	s.WordsProcessed++
+	return (*[idxStride]uint64)(s.idx.row(base / bits.WordSize)), valid
+}
+
+// resolveRow caches the current word fully resolved from a row in the
+// index layout, keeping only the bits in valid: every mask the lazy
+// pipeline would compute on demand, the three fused unions included, is
+// filled and marked present. It serves both the indexed and the vector
+// loader.
+func (s *Stream) resolveRow(row *[idxStride]uint64, valid uint64) {
 	s.inStr = row[idxInStr] & valid
 	s.quotes = row[idxQuote] & valid
 	s.ws = row[idxWS] & valid
@@ -249,7 +297,11 @@ func (s *Stream) loadIndexedWord(base int) {
 	s.stop = s.masks[LBrace] | s.masks[LBracket] | s.masks[RBracket]
 	s.attrStop = s.masks[LBrace] | s.masks[LBracket] | s.masks[RBrace]
 	s.term = s.masks[Comma] | s.masks[RBrace] | s.masks[RBracket]
-	s.WordsProcessed++
+	s.have = 1<<NumMeta - 1
+	s.haveWS = true
+	s.haveStop = true
+	s.haveAttrStop = true
+	s.haveTerm = true
 }
 
 // SetPos moves the cursor forward to absolute position p, folding any
