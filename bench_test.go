@@ -552,6 +552,83 @@ func BenchmarkQuerySet(b *testing.B) {
 	})
 }
 
+// multiPaths are the ten TT paths jsonskid's /multi serves in the
+// ledger's http-ndjson workload, written for one tweet record.
+var multiPaths = []string{
+	"$.text", "$.id", "$.user.name", "$.user.screen_name", "$.user.followers_count",
+	"$.en.urls[*].url", "$.en.hashtags[*].text", "$.retweet_count", "$.lang", "$.place.name",
+}
+
+// BenchmarkQuerySetVsSeparate decides ROADMAP item 2 on a fair
+// baseline: N of /multi's paths over small TT records and over one
+// large TT record (the same paths under $[*]), run three ways —
+//
+//	shared     one QuerySet pass per record
+//	indexed    one BuildIndex per record plus N RunIndexed over it, so
+//	           stage 1 is paid once, as the shared pass pays it
+//	lazy       N Query.Run per record, each classifying on its own
+//
+// Not a bench-guard target.
+func BenchmarkQuerySetVsSeparate(b *testing.B) {
+	inputs := []struct {
+		name   string
+		prefix string
+		recs   [][]byte
+	}{
+		{"records", "$", smallData(b, "tt")},
+		{"large", "$[*]", [][]byte{largeData(b, "tt")}},
+	}
+	for _, in := range inputs {
+		var size int64
+		for _, rec := range in.recs {
+			size += int64(len(rec))
+		}
+		for _, n := range []int{2, 3, 10} {
+			exprs := make([]string, n)
+			qs := make([]*jsonski.Query, n)
+			for i, p := range multiPaths[:n] {
+				exprs[i] = in.prefix + p[1:]
+				qs[i] = jsonski.MustCompile(exprs[i])
+			}
+			set := jsonski.MustCompileSet(exprs...)
+			run := func(name string, each func(rec []byte) error) {
+				b.Run(fmt.Sprintf("%s/N=%d/%s", in.name, n, name), func(b *testing.B) {
+					b.SetBytes(size)
+					for i := 0; i < b.N; i++ {
+						for _, rec := range in.recs {
+							if err := each(rec); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+				})
+			}
+			run("shared", func(rec []byte) error {
+				_, err := set.Run(rec, nil)
+				return err
+			})
+			run("indexed", func(rec []byte) error {
+				ix := jsonski.BuildIndex(rec)
+				defer ix.Release()
+				for _, q := range qs {
+					if _, err := q.RunIndexed(ix, nil); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			run("lazy", func(rec []byte) error {
+				for _, q := range qs {
+					if _, err := q.Run(rec, nil); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+	}
+}
+
 // BenchmarkMultiQuery measures the structural-index stage amortized
 // across several queries over one buffer: each lazy pass re-classifies
 // every word (at minimum folding quote masks through the string carry),

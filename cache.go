@@ -24,14 +24,21 @@ type Cache struct {
 	mu        sync.Mutex
 	max       int
 	ll        *list.List // front = most recently used
-	items     map[string]*list.Element
+	items     map[cacheKey]*list.Element
 	hits      int64
 	misses    int64
 	evictions int64
 }
 
+// cacheKey keeps queries and sets in disjoint key spaces. A set's expr
+// joins its paths with NUL, which no single expression may contain.
+type cacheKey struct {
+	set  bool
+	expr string
+}
+
 type cacheEntry struct {
-	key string
+	key cacheKey
 	q   *Query
 	qs  *QuerySet
 }
@@ -45,7 +52,7 @@ func NewCache(max int) *Cache {
 	return &Cache{
 		max:   max,
 		ll:    list.New(),
-		items: make(map[string]*list.Element),
+		items: make(map[cacheKey]*list.Element),
 	}
 }
 
@@ -54,7 +61,7 @@ func NewCache(max int) *Cache {
 func (c *Cache) Query(expr string) (*Query, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[expr]; ok {
+	if el, ok := c.items[cacheKey{expr: expr}]; ok {
 		c.hits++
 		c.ll.MoveToFront(el)
 		return el.Value.(*cacheEntry).q, nil
@@ -64,7 +71,7 @@ func (c *Cache) Query(expr string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.insert(&cacheEntry{key: expr, q: q})
+	c.insert(&cacheEntry{key: cacheKey{expr: expr}, q: q})
 	return q, nil
 }
 
@@ -72,7 +79,7 @@ func (c *Cache) Query(expr string) (*Query, error) {
 // it on first use. The set is keyed by the exact expression sequence, so
 // the same paths in a different order are a distinct entry.
 func (c *Cache) QuerySet(exprs ...string) (*QuerySet, error) {
-	key := "set\x00" + strings.Join(exprs, "\x00")
+	key := cacheKey{set: true, expr: strings.Join(exprs, "\x00")}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

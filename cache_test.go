@@ -98,6 +98,21 @@ func TestCacheQuerySetDistinctFromQuery(t *testing.T) {
 	}
 }
 
+// TestCacheQueryOnSetKeyIsParseError: a set's entry is out of reach of
+// Query, even through the set key's own text. That text holds a NUL, so
+// it must come back as the parser's error, not as the set's entry with
+// a nil *Query.
+func TestCacheQueryOnSetKeyIsParseError(t *testing.T) {
+	c := NewCache(8)
+	if _, err := c.QuerySet("$.a"); err != nil {
+		t.Fatal(err)
+	}
+	q, err := c.Query("set\x00$.a")
+	if err == nil || q != nil {
+		t.Fatalf("Query(%q) = (%v, %v), want a parse error", "set\x00$.a", q, err)
+	}
+}
+
 // TestCacheConcurrent hammers one cache from many goroutines; run with
 // -race. Every goroutine must observe the same compiled pointer per
 // expression, and the working set exceeds capacity so eviction races are

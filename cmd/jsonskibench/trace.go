@@ -217,28 +217,29 @@ func (h *harness) trace(jsonOut string) {
 func (h *harness) tracedPass(cq *jsonski.Query, recs [][]byte, tracer *telemetry.Tracer) {
 	const spanEvents = 64
 	for _, rec := range recs {
-		root := tracer.StartRoot("POST /query", telemetry.SpanContext{})
-		sp := root.StartChild("engine.run")
-		var st jsonski.Stats
-		var err error
-		if sp.Recording() {
-			st, err = cq.RunSinkExplain(rec, nil, spanEvents)
-		} else {
-			st, err = cq.RunSink(rec, nil)
-		}
-		must(err)
-		if sp.Recording() {
-			sp.SetInt("jsonski.matches", st.Matches)
-			sp.SetInt("jsonski.input.bytes", st.InputBytes)
-			sp.SetInt("jsonski.scanned.bytes", st.ScannedBytes())
-			sp.SetFloat("jsonski.skip.ratio", st.FastForwardRatio())
-			if tr := st.Trace(); tr != nil {
-				for _, e := range tr.Events {
-					sp.AddEvent(e.Func, telemetry.String("group", e.Group), telemetry.Int("bytes", int64(e.Bytes)))
+		tracer.Root("POST /query", telemetry.SpanContext{}, func(root *telemetry.Span) {
+			root.Child("engine.run", func(sp *telemetry.Span) {
+				var st jsonski.Stats
+				var err error
+				if sp.Recording() {
+					st, err = cq.RunSinkExplain(rec, nil, spanEvents)
+				} else {
+					st, err = cq.RunSink(rec, nil)
 				}
-			}
-		}
-		sp.End()
-		root.End()
+				must(err)
+				if !sp.Recording() {
+					return
+				}
+				sp.SetInt("jsonski.matches", st.Matches)
+				sp.SetInt("jsonski.input.bytes", st.InputBytes)
+				sp.SetInt("jsonski.scanned.bytes", st.ScannedBytes())
+				sp.SetFloat("jsonski.skip.ratio", st.FastForwardRatio())
+				if tr := st.Trace(); tr != nil {
+					for _, e := range tr.Events {
+						sp.AddEvent(e.Func, telemetry.String("group", e.Group), telemetry.Int("bytes", int64(e.Bytes)))
+					}
+				}
+			})
+		})
 	}
 }

@@ -100,7 +100,7 @@ func publicTrace(tr *telemetry.Trace) *Trace {
 	for i, e := range evs {
 		out.Events[i] = TraceEvent{
 			Group: fastforward.Group(e.Group).String(),
-			Func:  e.Op,
+			Func:  fastforward.Op(e.Op).String(),
 			Start: e.Start,
 			End:   e.End,
 			Bytes: e.End - e.Start,

@@ -157,12 +157,17 @@ func (fr *filterRuntime) compileChains() {
 	fr.valSet = make([]bool, len(fr.chainAut))
 }
 
-// planName labels the probe plan in explain traces.
-func (fr *filterRuntime) planName() string {
-	if fr.eligible {
-		return "FilterProbe(skip-eligible)"
+// probeOp labels the probe plan and its decision in explain traces.
+func (fr *filterRuntime) probeOp(selected bool) fastforward.Op {
+	switch {
+	case fr.eligible && selected:
+		return fastforward.OpProbeSkipEligible
+	case fr.eligible:
+		return fastforward.OpProbeSkipEligibleReject
+	case selected:
+		return fastforward.OpProbeFullParse
 	}
-	return "FilterProbe(full-parse)"
+	return fastforward.OpProbeFullParseReject
 }
 
 // resolveProbe is the DFA policy's probe decision: child is the state
@@ -175,11 +180,7 @@ func (e *Engine) resolveProbe(child int, vt jsonpath.ValueType, start, end int, 
 	raw := e.s.Data()[start:end]
 	selected := e.probeHolds(fr, raw, vt)
 	if e.trace != nil {
-		op := fr.planName()
-		if !selected {
-			op += " reject"
-		}
-		e.trace.Record(int(g), op, start, end)
+		e.trace.Record(int(g), uint8(fr.probeOp(selected)), start, end)
 	}
 	if !selected {
 		return nil

@@ -42,14 +42,9 @@ func (s *Server) handleIndexPut(w http.ResponseWriter, r *http.Request) {
 	if !s.requireCatalog(w) {
 		return
 	}
-	var body io.Reader = r.Body
-	if s.cfg.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	}
-	body = &countingReader{r: body, n: &s.m.counts[bytesIn]}
-	data, err := io.ReadAll(body)
+	data, err := io.ReadAll(s.requestBody(w, r))
 	if err != nil {
-		s.requestError(w, err)
+		s.jsonError(w, requestStatus(err), err)
 		return
 	}
 	var spans []jsonski.Span

@@ -48,6 +48,8 @@
 package server
 
 import (
+	"bytes"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -203,41 +205,51 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 	evalPath := r.URL.Path == "/query" || r.URL.Path == "/multi" || r.URL.Path == "/doc"
-	var sp *telemetry.Span
+	var dur time.Duration
+	var slow bool
+	var traceID telemetry.TraceID
+	// serve runs the request under its root span sp (nil: untraced).
+	serve := func(sp *telemetry.Span) {
+		if sp != nil {
+			// Inject before the handler commits the status line so
+			// callers can stitch their client span to ours even on
+			// error responses.
+			w.Header().Set("traceparent", sp.Context().Traceparent())
+			r = r.WithContext(telemetry.ContextWithSpan(r.Context(), sp))
+			traceID = sp.Context().TraceID
+		}
+		s.mux.ServeHTTP(sw, r)
+		dur = time.Since(t0)
+		switch r.URL.Path {
+		case "/query":
+			s.m.queryLatency.Observe(dur)
+		case "/multi":
+			s.m.multiLatency.Observe(dur)
+		case "/doc":
+			s.m.docLatency.Observe(dur)
+		}
+		slow = s.cfg.SlowQuery > 0 && dur >= s.cfg.SlowQuery && evalPath
+		if sp != nil {
+			sp.SetString("http.method", r.Method)
+			sp.SetString("http.route", r.URL.Path)
+			sp.SetInt("http.status_code", int64(sw.status))
+			sp.SetInt("jsonski.queue.capacity", int64(s.pool.queueCap()))
+			if slow {
+				// The always-sample override: slow requests export
+				// their trace even when the head-based decision said no.
+				sp.SetBool("jsonski.slow_query", true)
+				sp.ForceSample()
+			}
+		}
+	}
 	if s.tracer != nil && evalPath {
 		// Continue an inbound W3C context when one is present (the
 		// parent's sampling decision wins); mint a fresh trace otherwise.
 		parent, _ := telemetry.ParseTraceparent(
 			r.Header.Get("traceparent"), r.Header.Get("tracestate"))
-		sp = s.tracer.StartRoot(r.Method+" "+r.URL.Path, parent)
-		// Inject before the handler commits the status line so callers
-		// can stitch their client span to ours even on error responses.
-		w.Header().Set("traceparent", sp.Context().Traceparent())
-		r = r.WithContext(telemetry.ContextWithSpan(r.Context(), sp))
-	}
-	s.mux.ServeHTTP(sw, r)
-	dur := time.Since(t0)
-	switch r.URL.Path {
-	case "/query":
-		s.m.queryLatency.Observe(dur)
-	case "/multi":
-		s.m.multiLatency.Observe(dur)
-	case "/doc":
-		s.m.docLatency.Observe(dur)
-	}
-	slow := s.cfg.SlowQuery > 0 && dur >= s.cfg.SlowQuery && evalPath
-	if sp != nil {
-		sp.SetString("http.method", r.Method)
-		sp.SetString("http.route", r.URL.Path)
-		sp.SetInt("http.status_code", int64(sw.status))
-		sp.SetInt("jsonski.queue.capacity", int64(s.pool.queueCap()))
-		if slow {
-			// The always-sample override: slow requests export their
-			// trace even when the head-based decision said no.
-			sp.SetBool("jsonski.slow_query", true)
-			sp.ForceSample()
-		}
-		sp.End()
+		s.tracer.Root(r.Method+" "+r.URL.Path, parent, serve)
+	} else {
+		serve(nil)
 	}
 	if s.log == nil {
 		return
@@ -250,8 +262,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		"duration", dur,
 		"remote", r.RemoteAddr,
 	}
-	if sp != nil {
-		attrs = append(attrs, "trace_id", sp.Context().TraceID.String())
+	if traceID.IsValid() {
+		attrs = append(attrs, "trace_id", traceID.String())
 	}
 	if slow {
 		s.log.Warn("slow query", attrs...)
@@ -305,6 +317,32 @@ func (s *Server) Close() {
 func (s *Server) write(w io.Writer, b []byte) {
 	n, _ := w.Write(b)
 	s.m.counts[bytesOut].Add(int64(n))
+}
+
+// requestBody is the one reader of a request body: r.Body under the
+// configured size bound, counted into io.bytes_in.
+func (s *Server) requestBody(w http.ResponseWriter, r *http.Request) io.Reader {
+	var body io.Reader = r.Body
+	if s.cfg.MaxBodyBytes > 0 {
+		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	}
+	return &countingReader{r: body, n: &s.m.counts[bytesIn]}
+}
+
+// readDocument reads a single-document body whole, trimmed; on a read
+// error or an empty document it sends the error response instead.
+func (s *Server) readDocument(w http.ResponseWriter, body io.Reader) ([]byte, bool) {
+	data, err := io.ReadAll(body)
+	if err != nil {
+		s.jsonError(w, requestStatus(err), err)
+		return nil, false
+	}
+	data = bytes.TrimSpace(data)
+	if len(data) == 0 {
+		s.jsonError(w, http.StatusBadRequest, errors.New("empty body"))
+		return nil, false
+	}
+	return data, true
 }
 
 // countingReader tallies bytes drawn from a request body.

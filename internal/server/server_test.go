@@ -120,6 +120,23 @@ func TestQueryBadRequests(t *testing.T) {
 	}
 }
 
+// TestQueryOnSetKeyTextIs400: after /multi caches a query set, a /query
+// whose path spells that set's cache key is a bad path (the parser
+// rejects the NUL), and the daemon goes on answering.
+func TestQueryOnSetKeyTextIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	if code, body := post(t, ts.URL+"/multi?path="+url.QueryEscape("$.a"), "", `{"a": 1}`+"\n"); code != http.StatusOK {
+		t.Fatalf("/multi: status %d body %q", code, body)
+	}
+	code, body := post(t, ts.URL+"/query?path="+url.QueryEscape("set\x00$.a"), "", `{"a": 1}`+"\n")
+	if code != http.StatusBadRequest || !strings.Contains(body, `"error"`) {
+		t.Fatalf("/query on the set key: status %d body %q, want 400", code, body)
+	}
+	if code, body := post(t, ts.URL+"/query?path="+url.QueryEscape("$.a"), "", `{"a": 1}`+"\n"); code != http.StatusOK || body != `{"record":0,"value":1}`+"\n" {
+		t.Fatalf("daemon after the bad path: status %d body %q", code, body)
+	}
+}
+
 func TestQueryMalformedSingleRecordIs400(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	code, body := post(t, ts.URL+"/query?path="+url.QueryEscape("$.v.x"),

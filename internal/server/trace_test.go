@@ -6,6 +6,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -312,4 +315,126 @@ func TestTraceHammerStalledExporter(t *testing.T) {
 	if st.ExportErrors == 0 {
 		t.Fatalf("stalled collector produced no export errors: %+v", st)
 	}
+}
+
+// TestEveryTracedRequestExportsItsSpanTree runs each kind of traced
+// request at 100% sampling through a file sink and pins the span tree
+// it exports: one trace per request, its root's name, and each child's
+// name and count, every child parented on the root. A span that never
+// ends never reaches the sink, so this is the runtime check that every
+// span a request starts also ends.
+func TestEveryTracedRequestExportsItsSpanTree(t *testing.T) {
+	const rec = `{"a": {"b": 1}, "pad": [1, 2, 3]}`
+	ndjson := func(recs ...string) string { return strings.Join(recs, "\n") + "\n" }
+	doc := `{"a": {"b": [1, 2, {"c": 3}]}, "pad": "` + strings.Repeat("x", 200) + `"}`
+	query := func(endpoint, key string, vals ...string) string {
+		q := url.Values{key: vals}
+		return endpoint + "?" + q.Encode()
+	}
+	cases := []struct {
+		name        string
+		noIndex     bool // IndexCacheBytes < 0: no index tier at all
+		target      string
+		contentType string
+		body        string
+		status      int
+		root        string
+		children    map[string]int
+		tier        string // index.lookup's jsonski.index.tier, if it has one
+	}{
+		{"ndjson query", false, query("/query", "path", "$.a.b"), "", ndjson(rec, rec, rec),
+			http.StatusOK, "POST /query", map[string]int{"engine.run": 3}, ""},
+		{"explain", false, query("/query", "path", "$.a.b") + "&explain=1", "", ndjson(rec, rec),
+			http.StatusOK, "POST /query", map[string]int{"engine.run": 2}, ""},
+		{"explain single document", false, query("/query", "path", "$.a.b") + "&explain=1", "application/json", doc,
+			http.StatusOK, "POST /query", map[string]int{"engine.run": 1}, ""},
+		{"single document, index hit", false, query("/query", "path", "$.a.b[2]"), "application/json", doc,
+			http.StatusOK, "POST /query", map[string]int{"index.lookup": 1, "engine.run": 1, "sink.flush": 1}, "cache"},
+		{"single document, no index", true, query("/query", "path", "$.a.b[2]"), "application/json", doc,
+			http.StatusOK, "POST /query", map[string]int{"index.lookup": 1, "engine.run": 1, "sink.flush": 1}, "none"},
+		{"multi ndjson", false, query("/multi", "path", "$.a", "$.pad"), "", ndjson(rec, rec),
+			http.StatusOK, "POST /multi", map[string]int{"engine.run": 2}, ""},
+		{"multi single document", false, query("/multi", "path", "$.a", "$.pad"), "application/json", doc,
+			http.StatusOK, "POST /multi", map[string]int{"index.lookup": 1, "engine.run": 1}, "cache"},
+		{"doc hit", false, query("/doc", "get", "a.b[2].c"), "", doc,
+			http.StatusOK, "POST /doc", map[string]int{"index.lookup": 1, "engine.run": 1}, "cache"},
+		{"doc 404", false, query("/doc", "get", "a.zz"), "", doc,
+			http.StatusNotFound, "POST /doc", map[string]int{"index.lookup": 1, "engine.run": 1}, "cache"},
+		{"malformed record", false, query("/query", "path", "$.a.b"), "", ndjson(rec, `{"a": {`, rec),
+			http.StatusOK, "POST /query", map[string]int{"engine.run": 3}, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tracer := telemetry.NewTracer(telemetry.TracerConfig{SampleRatio: 1})
+			file := filepath.Join(t.TempDir(), "spans.ndjson")
+			exporter, err := traceexport.New(tracer, traceexport.Config{FilePath: file, Interval: 5 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Workers: 2, Tracer: tracer}
+			if c.noIndex {
+				cfg.IndexCacheBytes = -1
+			}
+			_, ts := newTestServer(t, cfg)
+			if code, body := post(t, ts.URL+c.target, c.contentType, c.body); code != c.status {
+				t.Fatalf("status %d, want %d: %s", code, c.status, body)
+			}
+			if err := exporter.Close(); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var spans []wireSpan
+			for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+				var sp wireSpan
+				if err := json.Unmarshal([]byte(line), &sp); err != nil {
+					t.Fatalf("span line %q: %v", line, err)
+				}
+				spans = append(spans, sp)
+			}
+			var root *wireSpan
+			for i, sp := range spans {
+				if sp.ParentSpanID == "" {
+					if root != nil {
+						t.Fatalf("two roots: %q and %q", root.Name, sp.Name)
+					}
+					root = &spans[i]
+				}
+			}
+			if root == nil || root.Name != c.root {
+				t.Fatalf("root = %+v, want %q", root, c.root)
+			}
+			children := map[string]int{}
+			for _, sp := range spans {
+				if sp.SpanID == root.SpanID {
+					continue
+				}
+				if sp.TraceID != root.TraceID || sp.ParentSpanID != root.SpanID {
+					t.Fatalf("%s (trace %s, parent %s) is not a child of root %s of trace %s",
+						sp.Name, sp.TraceID, sp.ParentSpanID, root.SpanID, root.TraceID)
+				}
+				children[sp.Name]++
+				if sp.Name == "index.lookup" {
+					if got := stringAttr(sp, "jsonski.index.tier"); got != c.tier {
+						t.Errorf("index.lookup tier %q, want %q", got, c.tier)
+					}
+				}
+			}
+			if !reflect.DeepEqual(children, c.children) {
+				t.Fatalf("children %v, want %v", children, c.children)
+			}
+		})
+	}
+}
+
+// stringAttr returns a span's string attribute key, or "".
+func stringAttr(sp wireSpan, key string) string {
+	for _, a := range sp.Attributes {
+		if a.Key == key && a.Value.StringValue != nil {
+			return *a.Value.StringValue
+		}
+	}
+	return ""
 }

@@ -54,14 +54,12 @@ func FuzzStoreRoundTrip(f *testing.F) {
 		defer want.Release()
 		gix := got.Index()
 		defer gix.Release()
-		wr, gr := want.Rows(), gix.Rows()
+		wr, gr := rowBytes(t, want), rowBytes(t, gix)
 		if len(wr) != len(gr) {
-			t.Fatalf("accepted file has wrong row count: %d vs %d", len(gr), len(wr))
+			t.Fatalf("accepted file has wrong row count: %d vs %d", len(gr)/8, len(wr)/8)
 		}
-		for i := range wr {
-			if wr[i] != gr[i] {
-				t.Fatalf("accepted file serves corrupt mask row %d: %016x vs %016x", i, gr[i], wr[i])
-			}
+		if i := diffRow(gr, wr); i >= 0 {
+			t.Fatalf("accepted file serves corrupt mask row %d", i)
 		}
 	})
 }

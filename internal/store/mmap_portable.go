@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"unsafe"
 )
 
 // Portable fallback (windows, plan9, ...): the file is read into a
@@ -40,7 +41,7 @@ func mapFile(f *os.File, size int64) (*mapping, error) {
 		backer = &s
 	}
 	*backer = (*backer)[:need]
-	b := u64Bytes(*backer)[:size]
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(*backer))), need*8)[:size]
 	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), b); err != nil {
 		loadPool.Put(backer)
 		return nil, &os.PathError{Op: "read", Path: f.Name(), Err: err}

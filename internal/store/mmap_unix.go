@@ -11,7 +11,8 @@ import (
 // load cost is page-cache faults, the kernel shares one physical copy
 // across every daemon replica on the machine, and any accidental write
 // through the mapped masks faults instead of corrupting shared state
-// (the runtime backstop behind the mapownership analyzer). The file
+// (the runtime backstop behind stream.Index handing its rows out only
+// through WriteRows). The file
 // descriptor is closed right after mapping — the mapping, not the fd,
 // pins the pages, so an evicted sidecar can be unlinked while readers
 // are still streaming over it.

@@ -67,15 +67,12 @@ func TestRoundTrip(t *testing.T) {
 			if !got.Mapped() {
 				t.Fatalf("loaded index should report Mapped()")
 			}
-			wr, gr := want.Rows(), got.Rows()
+			wr, gr := rowBytes(t, want), rowBytes(t, got)
 			if len(wr) != len(gr) {
-				t.Fatalf("row count: got %d, want %d", len(gr), len(wr))
+				t.Fatalf("row count: got %d, want %d", len(gr)/8, len(wr)/8)
 			}
-			for i := range wr {
-				if wr[i] != gr[i] {
-					t.Fatalf("row %d (word %d, mask %d): got %016x, want %016x",
-						i, i/stream.RowStride, i%stream.RowStride, gr[i], wr[i])
-				}
+			if i := diffRow(gr, wr); i >= 0 {
+				t.Fatalf("row %d (word %d, mask %d) differs", i, i/stream.RowStride, i%stream.RowStride)
 			}
 		})
 	}
@@ -234,13 +231,29 @@ func TestFileRefcount(t *testing.T) {
 	if !bytes.Equal(ix.Data(), data) {
 		t.Fatal("data unreadable after File.Close with outstanding index")
 	}
-	rows := ix.Rows()
-	var sum uint64
-	for _, r := range rows {
-		sum ^= r
-	}
-	_ = sum
+	rowBytes(t, ix)
 	ix.Release() // final reference: unmaps
+}
+
+// rowBytes returns ix's mask rows in their file form.
+func rowBytes(t testing.TB, ix *stream.Index) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := ix.WriteRows(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// diffRow returns the first mask row (uint64 index) at which two row
+// sections of equal length differ, or -1 when they are equal.
+func diffRow(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i / 8
+		}
+	}
+	return -1
 }
 
 // TestEmptyAndOpenErrors covers the non-file error paths.

@@ -58,7 +58,7 @@ func TestIndexRowsMatchSWAR(t *testing.T) {
 	}
 	for _, data := range inputs {
 		ix := NewIndex(data)
-		got, want := ix.Rows(), swarRows(data)
+		got, want := ix.rows, swarRows(data)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("len %d: word %d row %d: vector %064b, SWAR %064b\ndata: %q",

@@ -67,15 +67,15 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 
 func TestTraceparentInjectionMatchesW3CShape(t *testing.T) {
 	tr := NewTracer(TracerConfig{SampleRatio: 1})
-	root := tr.StartRoot("req", SpanContext{})
-	h := root.Context().Traceparent()
-	if len(h) != 55 || !strings.HasPrefix(h, "00-") || !strings.HasSuffix(h, "-01") {
-		t.Fatalf("injected header %q", h)
-	}
-	back, ok := ParseTraceparent(h, "")
-	if !ok || back.TraceID != root.Context().TraceID || back.SpanID != root.Context().SpanID {
-		t.Fatalf("injected header does not round-trip: %q", h)
-	}
-	root.End()
+	tr.Root("req", SpanContext{}, func(root *Span) {
+		h := root.Context().Traceparent()
+		if len(h) != 55 || !strings.HasPrefix(h, "00-") || !strings.HasSuffix(h, "-01") {
+			t.Fatalf("injected header %q", h)
+		}
+		back, ok := ParseTraceparent(h, "")
+		if !ok || back.TraceID != root.Context().TraceID || back.SpanID != root.Context().SpanID {
+			t.Fatalf("injected header does not round-trip: %q", h)
+		}
+	})
 	drainAll(tr)
 }

@@ -91,9 +91,9 @@ const maxSpanEvents = 128
 
 // Span is one timed operation of a request. All methods are safe on a
 // nil receiver and do nothing — the disabled-tracing path costs exactly
-// the nil check, mirroring the *Trace hook contract. A span is owned by
-// one goroutine from Start to End; only End crosses into the shared
-// per-request set, under its lock.
+// the nil check, mirroring the *Trace hook contract. A span lives in the
+// Tracer.Root or Span.Child scope that ends it, owned by one goroutine;
+// only its end crosses into the shared per-request set, under its lock.
 type Span struct {
 	set  *spanSet // nil on non-recording spans
 	name string
@@ -123,22 +123,24 @@ func (s *Span) Context() SpanContext {
 	return s.ctx
 }
 
-// StartChild starts a child span. It returns nil when the parent is nil
-// or not recording, so a whole disabled subtree costs one nil check per
-// level.
-func (s *Span) StartChild(name string) *Span {
-	if s == nil || s.set == nil {
-		return nil
+// Child runs fn under a child span and ends it when fn returns, panics
+// included. A nil or non-recording parent calls fn(nil), so a disabled
+// subtree costs one nil check per level. fn must not keep the span.
+func (s *Span) Child(name string, fn func(*Span)) {
+	var c *Span
+	if s != nil && s.set != nil {
+		ctx := s.ctx
+		ctx.SpanID = s.set.tracer.newSpanID()
+		c = &Span{
+			set:    s.set,
+			name:   name,
+			ctx:    ctx,
+			parent: s.ctx.SpanID,
+			start:  time.Now(),
+		}
 	}
-	ctx := s.ctx
-	ctx.SpanID = s.set.tracer.newSpanID()
-	return &Span{
-		set:    s.set,
-		name:   name,
-		ctx:    ctx,
-		parent: s.ctx.SpanID,
-		start:  time.Now(),
-	}
+	defer c.finish()
+	fn(c)
 }
 
 // SetString attaches a string attribute.
@@ -206,11 +208,11 @@ func (s *Span) ForceSample() {
 	s.set.force()
 }
 
-// End finishes the span and hands it to the per-request set. Ending the
+// finish ends the span and hands it to the per-request set. Ending the
 // root span decides the request's fate: sampled or forced requests
 // flush every collected span to the exporter ring (drop-on-full),
-// everything else is discarded in O(1). End is idempotent.
-func (s *Span) End() {
+// everything else is discarded in O(1). finish is idempotent.
+func (s *Span) finish() {
 	if s == nil || s.set == nil || s.ended {
 		return
 	}
@@ -229,7 +231,7 @@ type spanSet struct {
 	spans  []*Span
 	max    int
 	// forced records a ForceSample (slow-query override) so an
-	// unsampled-but-collected request still exports at root End.
+	// unsampled-but-collected request still exports at root end.
 	forced bool
 	// done flips when the root ends; spans arriving later (a leaked
 	// child ending after its root) are counted as dropped.
@@ -259,7 +261,7 @@ func (ss *spanSet) add(sp *Span) {
 	ss.mu.Unlock()
 }
 
-// force marks the set for export at root End.
+// force marks the set for export at root end.
 func (ss *spanSet) force() {
 	ss.mu.Lock()
 	ss.forced = true

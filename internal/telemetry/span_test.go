@@ -32,16 +32,26 @@ func TestNilSpanIsInert(t *testing.T) {
 	sp.AddEvent("e")
 	sp.SetError(errors.New("x"))
 	sp.ForceSample()
-	sp.End()
-	if c := sp.StartChild("child"); c != nil {
-		t.Fatal("nil span produced a child")
-	}
+	sp.finish()
+	ran := 0
+	sp.Child("child", func(c *Span) {
+		ran++
+		if c != nil {
+			t.Fatal("nil span produced a child")
+		}
+	})
 	if ctx := sp.Context(); ctx.IsValid() {
 		t.Fatal("nil span has a valid context")
 	}
 	var tr *Tracer
-	if got := tr.StartRoot("r", SpanContext{}); got != nil {
-		t.Fatal("nil tracer produced a span")
+	tr.Root("r", SpanContext{}, func(got *Span) {
+		ran++
+		if got != nil {
+			t.Fatal("nil tracer produced a span")
+		}
+	})
+	if ran != 2 {
+		t.Fatalf("scoped bodies ran %d times, want 2", ran)
 	}
 	if st := tr.Stats(); st != (TracerStats{}) {
 		t.Fatal("nil tracer has stats")
@@ -50,15 +60,13 @@ func TestNilSpanIsInert(t *testing.T) {
 
 func TestSampledRootExportsTree(t *testing.T) {
 	tr := NewTracer(TracerConfig{SampleRatio: 1})
-	root := tr.StartRoot("req", SpanContext{})
-	if !root.Recording() {
-		t.Fatal("always-sample root not recording")
-	}
-	child := root.StartChild("engine.run")
-	child.SetInt("matches", 3)
-	child.End()
-	root.SetString("path", "/query")
-	root.End()
+	tr.Root("req", SpanContext{}, func(root *Span) {
+		if !root.Recording() {
+			t.Fatal("always-sample root not recording")
+		}
+		root.Child("engine.run", func(child *Span) { child.SetInt("matches", 3) })
+		root.SetString("path", "/query")
+	})
 
 	spans := drainAll(tr)
 	if len(spans) != 2 {
@@ -82,25 +90,53 @@ func TestSampledRootExportsTree(t *testing.T) {
 	}
 }
 
+// TestScopesEndOnPanic: a panic inside a Child or Root body still ends
+// the span on the way out, so the request's trace flushes with the
+// child in it.
+func TestScopesEndOnPanic(t *testing.T) {
+	tr := NewTracer(TracerConfig{SampleRatio: 1})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("panic did not propagate")
+			}
+		}()
+		tr.Root("req", SpanContext{}, func(root *Span) {
+			root.Child("engine.run", func(*Span) { panic("boom") })
+		})
+	}()
+	spans := drainAll(tr)
+	if len(spans) != 2 || spans[0].name != "engine.run" || spans[1].name != "req" {
+		t.Fatalf("exported %d spans after a panic, want engine.run then req", len(spans))
+	}
+	for _, sp := range spans {
+		if !sp.ended || sp.end.IsZero() {
+			t.Fatalf("span %q not ended", sp.name)
+		}
+	}
+}
+
 func TestUnsampledRootDiscards(t *testing.T) {
 	tr := NewTracer(TracerConfig{SampleRatio: 0})
-	root := tr.StartRoot("req", SpanContext{})
-	if root == nil {
-		t.Fatal("root is nil; propagation context lost")
-	}
-	if root.Recording() {
-		t.Fatal("unsampled root records without ForceCollect")
-	}
-	if !root.Context().IsValid() {
-		t.Fatal("unsampled root lacks a context for injection")
-	}
-	if root.Context().Sampled {
-		t.Fatal("unsampled root claims the sampled flag")
-	}
-	if c := root.StartChild("x"); c != nil {
-		t.Fatal("unsampled root produced a recording child")
-	}
-	root.End()
+	tr.Root("req", SpanContext{}, func(root *Span) {
+		if root == nil {
+			t.Fatal("root is nil; propagation context lost")
+		}
+		if root.Recording() {
+			t.Fatal("unsampled root records without ForceCollect")
+		}
+		if !root.Context().IsValid() {
+			t.Fatal("unsampled root lacks a context for injection")
+		}
+		if root.Context().Sampled {
+			t.Fatal("unsampled root claims the sampled flag")
+		}
+		root.Child("x", func(c *Span) {
+			if c != nil {
+				t.Fatal("unsampled root produced a recording child")
+			}
+		})
+	})
 	if got := drainAll(tr); len(got) != 0 {
 		t.Fatalf("unsampled trace exported %d spans", len(got))
 	}
@@ -112,27 +148,28 @@ func TestParentBasedSampling(t *testing.T) {
 	if !ok {
 		t.Fatal("parse failed")
 	}
-	root := tr.StartRoot("req", parent)
-	if !root.Recording() {
-		t.Fatal("sampled inbound context did not override the local ratio")
-	}
-	if root.Context().TraceID.String() != "4bf92f3577b34da6a3ce929d0e0e4736" {
-		t.Fatalf("trace ID not inherited: %s", root.Context().TraceID)
-	}
-	if root.parent.String() != "00f067aa0ba902b7" {
-		t.Fatalf("parent span ID not inherited: %s", root.parent)
-	}
-	root.End()
+	tr.Root("req", parent, func(root *Span) {
+		if !root.Recording() {
+			t.Fatal("sampled inbound context did not override the local ratio")
+		}
+		if root.Context().TraceID.String() != "4bf92f3577b34da6a3ce929d0e0e4736" {
+			t.Fatalf("trace ID not inherited: %s", root.Context().TraceID)
+		}
+		if root.parent.String() != "00f067aa0ba902b7" {
+			t.Fatalf("parent span ID not inherited: %s", root.parent)
+		}
+	})
 	if got := drainAll(tr); len(got) != 1 {
 		t.Fatalf("exported %d spans, want 1", len(got))
 	}
 
 	// The unsampled flag is inherited just the same.
 	parent.Sampled = false
-	root2 := tr2(t).StartRoot("req", parent)
-	if root2.Recording() {
-		t.Fatal("unsampled inbound context was sampled locally")
-	}
+	tr2(t).Root("req", parent, func(root2 *Span) {
+		if root2.Recording() {
+			t.Fatal("unsampled inbound context was sampled locally")
+		}
+	})
 }
 
 func tr2(t *testing.T) *Tracer {
@@ -142,14 +179,13 @@ func tr2(t *testing.T) *Tracer {
 
 func TestForceSampleExportsUnsampledTrace(t *testing.T) {
 	tr := NewTracer(TracerConfig{SampleRatio: 0, ForceCollect: true})
-	root := tr.StartRoot("req", SpanContext{})
-	if !root.Recording() {
-		t.Fatal("ForceCollect root not recording")
-	}
-	child := root.StartChild("engine.run")
-	child.End()
-	root.ForceSample() // the slow-query override fires
-	root.End()
+	tr.Root("req", SpanContext{}, func(root *Span) {
+		if !root.Recording() {
+			t.Fatal("ForceCollect root not recording")
+		}
+		root.Child("engine.run", func(*Span) {})
+		root.ForceSample() // the slow-query override fires
+	})
 	if got := drainAll(tr); len(got) != 2 {
 		t.Fatalf("forced trace exported %d spans, want 2", len(got))
 	}
@@ -158,10 +194,10 @@ func TestForceSampleExportsUnsampledTrace(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 
-	// Without the override the collected spans evaporate at root End.
-	root = tr.StartRoot("req", SpanContext{})
-	root.StartChild("engine.run").End()
-	root.End()
+	// Without the override the collected spans evaporate at root end.
+	tr.Root("req", SpanContext{}, func(root *Span) {
+		root.Child("engine.run", func(*Span) {})
+	})
 	if got := drainAll(tr); len(got) != 0 {
 		t.Fatalf("uninteresting trace exported %d spans", len(got))
 	}
@@ -169,11 +205,11 @@ func TestForceSampleExportsUnsampledTrace(t *testing.T) {
 
 func TestPerTraceSpanCap(t *testing.T) {
 	tr := NewTracer(TracerConfig{SampleRatio: 1, MaxSpansPerTrace: 4})
-	root := tr.StartRoot("req", SpanContext{})
-	for i := 0; i < 10; i++ {
-		root.StartChild("c").End()
-	}
-	root.End()
+	tr.Root("req", SpanContext{}, func(root *Span) {
+		for i := 0; i < 10; i++ {
+			root.Child("c", func(*Span) {})
+		}
+	})
 	spans := drainAll(tr)
 	// 4 children fill the cap, 6 drop, and the root — exempt, so the
 	// flush always fires — still lands.
@@ -191,8 +227,7 @@ func TestPerTraceSpanCap(t *testing.T) {
 func TestRingDropOnFull(t *testing.T) {
 	tr := NewTracer(TracerConfig{SampleRatio: 1, RingSize: 2})
 	for i := 0; i < 5; i++ {
-		root := tr.StartRoot("req", SpanContext{})
-		root.End()
+		tr.Root("req", SpanContext{}, func(*Span) {})
 	}
 	if st := tr.Stats(); st.DroppedSpans != 3 {
 		t.Fatalf("dropped %d spans, want 3", st.DroppedSpans)
@@ -204,11 +239,11 @@ func TestRingDropOnFull(t *testing.T) {
 
 func TestSpanEventCap(t *testing.T) {
 	tr := NewTracer(TracerConfig{SampleRatio: 1})
-	root := tr.StartRoot("req", SpanContext{})
-	for i := 0; i < maxSpanEvents+17; i++ {
-		root.AddEvent("ff")
-	}
-	root.End()
+	tr.Root("req", SpanContext{}, func(root *Span) {
+		for i := 0; i < maxSpanEvents+17; i++ {
+			root.AddEvent("ff")
+		}
+	})
 	spans := drainAll(tr)
 	if len(spans[0].events) != maxSpanEvents {
 		t.Fatalf("kept %d events", len(spans[0].events))
@@ -220,11 +255,11 @@ func TestSpanEventCap(t *testing.T) {
 
 func TestEndIsIdempotent(t *testing.T) {
 	tr := NewTracer(TracerConfig{SampleRatio: 1})
-	root := tr.StartRoot("req", SpanContext{})
-	root.End()
-	root.End()
+	root := tr.startRoot("req", SpanContext{})
+	root.finish()
+	root.finish()
 	if got := drainAll(tr); len(got) != 1 {
-		t.Fatalf("double End exported %d spans", len(got))
+		t.Fatalf("double finish exported %d spans", len(got))
 	}
 }
 
@@ -233,11 +268,11 @@ func TestSampleRatioStatistics(t *testing.T) {
 	const n = 4096
 	sampled := 0
 	for i := 0; i < n; i++ {
-		root := tr.StartRoot("req", SpanContext{})
-		if root.Recording() {
-			sampled++
-		}
-		root.End()
+		tr.Root("req", SpanContext{}, func(root *Span) {
+			if root.Recording() {
+				sampled++
+			}
+		})
 	}
 	// Binomial(4096, 0.5): ±8 sigma is ±256.
 	if sampled < n/2-256 || sampled > n/2+256 {

@@ -5,10 +5,10 @@ package telemetry
 // engine was in at the time. For the NFA engine State holds the live
 // state-set bitmask instead of a single DFA state.
 type Event struct {
-	Group      int    // 0-based fast-forward group (0 ↔ G1 ... 4 ↔ G5)
-	Op         string // fast-forward function name
-	Start, End int    // half-open byte range the movement covered
-	State      int    // automaton state (or NFA state-set bits)
+	Group      int   // 0-based fast-forward group (0 ↔ G1 ... 4 ↔ G5)
+	Op         uint8 // fast-forward function, a fastforward.Op code
+	Start, End int   // half-open byte range the movement covered
+	State      int   // automaton state (or NFA state-set bits)
 }
 
 // DefaultTraceLimit is the event cap used when NewTrace is given a
@@ -51,7 +51,7 @@ func (t *Trace) SetState(q int) {
 
 // Record appends one event, or counts it as dropped once the cap is hit.
 // Keep it one switch: charge inlines it only while it stays this small.
-func (t *Trace) Record(group int, op string, start, end int) {
+func (t *Trace) Record(group int, op uint8, start, end int) {
 	switch {
 	case t == nil: // explain off
 	case len(t.events) >= t.limit:

@@ -38,7 +38,8 @@ const (
 // Tracer makes sampling decisions, mints IDs, and owns the bounded
 // ring between request goroutines and the background exporter. All
 // methods are safe for concurrent use; all are safe on a nil receiver
-// (the disabled configuration), where StartRoot returns nil.
+// (the disabled configuration), where Root runs its function with a nil
+// span.
 type Tracer struct {
 	threshold uint64 // sample when the trace ID's low word is below this
 	always    bool   // SampleRatio >= 1
@@ -131,13 +132,20 @@ func (t *Tracer) sampleNew(id TraceID) bool {
 	return binary.BigEndian.Uint64(id[8:]) < t.threshold
 }
 
-// StartRoot begins the root span of one request. A valid parent context
-// (from ParseTraceparent) joins the caller's trace and inherits its
-// sampling decision; otherwise a fresh trace is minted and head-sampled
-// by ratio. The returned span is never nil on a non-nil tracer — an
-// unsampled root still carries a valid context for header injection —
-// but records only when sampled or ForceCollect is on.
-func (t *Tracer) StartRoot(name string, parent SpanContext) *Span {
+// Root runs fn under the root span of one request and ends it, flushing
+// or discarding the trace, when fn returns, panics included. A valid
+// parent context joins the caller's trace and sampling decision, else a
+// fresh trace is head-sampled by ratio. fn's span carries a context to
+// inject, and records if sampled or ForceCollect is on; a nil tracer
+// calls fn(nil). fn must not keep the span past its return.
+func (t *Tracer) Root(name string, parent SpanContext, fn func(*Span)) {
+	sp := t.startRoot(name, parent)
+	defer sp.finish()
+	fn(sp)
+}
+
+// startRoot begins the root span of one request; nil on a nil tracer.
+func (t *Tracer) startRoot(name string, parent SpanContext) *Span {
 	if t == nil {
 		return nil
 	}
@@ -169,7 +177,7 @@ func (t *Tracer) StartRoot(name string, parent SpanContext) *Span {
 	return sp
 }
 
-// finish receives one request's collected spans from the root's End.
+// finish receives one request's collected spans from the root's end.
 func (t *Tracer) finish(spans []*Span, export, forced bool) {
 	if !export {
 		return

@@ -44,11 +44,11 @@ func TestExporterHTTPAndFileSinks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	root := tr.StartRoot("POST /query", telemetry.SpanContext{})
-	child := root.StartChild("engine.run")
-	child.SetInt("jsonski.matches", 1)
-	child.End()
-	root.End()
+	tr.Root("POST /query", telemetry.SpanContext{}, func(root *telemetry.Span) {
+		root.Child("engine.run", func(child *telemetry.Span) {
+			child.SetInt("jsonski.matches", 1)
+		})
+	})
 
 	deadline := time.Now().Add(5 * time.Second)
 	for gotBody.Load() == nil && time.Now().Before(deadline) {
@@ -148,9 +148,9 @@ func TestExporterStalledEndpointNeverBlocksProducers(t *testing.T) {
 
 	start := time.Now()
 	for i := 0; i < 200; i++ {
-		root := tr.StartRoot("req", telemetry.SpanContext{})
-		root.StartChild("engine.run").End()
-		root.End()
+		tr.Root("req", telemetry.SpanContext{}, func(root *telemetry.Span) {
+			root.Child("engine.run", func(*telemetry.Span) {})
+		})
 	}
 	if produceTime := time.Since(start); produceTime > 2*time.Second {
 		t.Fatalf("producers took %v with a stalled collector", produceTime)

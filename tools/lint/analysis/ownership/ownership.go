@@ -1,5 +1,5 @@
-// Package ownership is the shared must-reach-release engine behind the
-// poolpair and spanend analyzers (DESIGN §5i): a forward dataflow over
+// Package ownership is the must-reach-release engine behind the
+// poolpair analyzer (DESIGN §5i): a forward dataflow over
 // the cfg package tracking, per acquire site, whether the acquired
 // value is still owned along each path. Where the first-generation
 // analyzers asked "is there a textual return between the acquire and
@@ -63,16 +63,12 @@ type Rules struct {
 	// IsTrackedType guards which parameters get consume summaries.
 	IsTrackedType func(pass *analysis.Pass, t types.Type) bool
 	// ReleaseRecv reports whether a method of this name called on the
-	// tracked value releases it (End, Release, Put…).
+	// tracked value releases it (Release, Put…).
 	ReleaseRecv func(name string) bool
 	// ReleaseArg reports whether passing the tracked value as an
 	// argument to a call of this name releases it (pool.Put, putBuf…).
 	// Facts take precedence; this is the fallback for unknown callees.
 	ReleaseArg func(name string) bool
-	// ArgHandOff: passing the tracked value to an un-summarized callee
-	// counts as a visible ownership transfer (the spanend contract).
-	// When false, such calls are plain uses (the poolpair contract).
-	ArgHandOff bool
 }
 
 // Messages renders the diagnostics in each analyzer's voice.
@@ -474,9 +470,6 @@ func callFinishes(pass *analysis.Pass, rules Rules, call *ast.CallExpr, inA func
 		if rules.ReleaseArg != nil && rules.ReleaseArg(name) {
 			return true
 		}
-		if rules.ArgHandOff {
-			return true
-		}
 	}
 	return false
 }
@@ -624,12 +617,10 @@ func bindSite(pass *analysis.Pass, fn ast.Node, call *ast.CallExpr, st *site) {
 			st.ok = true
 		}
 	case *ast.SelectorExpr:
-		// acquire().Release() / .End(): chained consumption. Any other
-		// chained use drops the reference.
+		// acquire().Release(): chained consumption. Any other chained
+		// use drops the reference.
 		if i-1 >= 0 {
 			if outer, ok := path[i-1].(*ast.CallExpr); ok && analysis.Unparen(outer.Fun) == parent {
-				// The rules decide which chained method consumes; both
-				// engines accept their release-receiver set.
 				st.ok = false
 				if nameConsumes(parent.Sel.Name) {
 					st.ok = true
@@ -644,11 +635,10 @@ func bindSite(pass *analysis.Pass, fn ast.Node, call *ast.CallExpr, st *site) {
 	}
 }
 
-// nameConsumes is the chained-call whitelist shared by both engines:
-// the canonical finishers.
+// nameConsumes is the chained-call whitelist: the canonical finishers.
 func nameConsumes(name string) bool {
 	switch name {
-	case "Release", "Put", "End":
+	case "Release", "Put":
 		return true
 	}
 	return false

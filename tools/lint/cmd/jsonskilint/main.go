@@ -4,17 +4,13 @@
 //	go run ./tools/lint/cmd/jsonskilint ./...
 //
 // The suite machine-enforces the invariants the engine's performance
-// and memory safety rest on but the compiler cannot see (DESIGN §5d,
-// §5i):
+// and memory safety rest on but Go's type system cannot express
+// (DESIGN §5d, §5i); the three analyzers are:
 //
 //	poolpair     — pooled / refcounted resources reach a Release or Put
 //	               on every path (CFG-based ownership dataflow)
 //	escapespan   — zero-copy spans are not retained without a copy,
 //	               including through callees (interprocedural summaries)
-//	chargesite   — fast-forward movements charge a named Table 1 group
-//	spanend      — started telemetry spans reach End() on every path
-//	mapownership — bitmap rows of a possibly store-mapped Index are
-//	               never written through or handed to a sync.Pool
 //	navgen       — on-demand terminal errors are checked, or the value
 //	               is gated with Err() or Exists()
 //

@@ -40,7 +40,6 @@ var rules = ownership.Rules{
 	IsTrackedType: func(pass *analysis.Pass, t types.Type) bool { return isRefcounted(t) },
 	ReleaseRecv:   isReleaseName,
 	ReleaseArg:    isReleaseName,
-	ArgHandOff:    false,
 }
 
 var messages = ownership.Messages{
