@@ -50,7 +50,7 @@ type metrics struct {
 
 	// queryLatency, multiLatency, and docLatency time whole requests per
 	// endpoint (observed in ServeHTTP); recordLatency times individual
-	// record evaluations across the endpoints (observed in finishRecord).
+	// record evaluations across the endpoints (observed in runRecord).
 	queryLatency  telemetry.Histogram
 	multiLatency  telemetry.Histogram
 	recordLatency telemetry.Histogram
