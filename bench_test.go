@@ -726,9 +726,11 @@ func BenchmarkRepeatedDocument(b *testing.B) {
 	})
 }
 
-// BenchmarkDescendant measures the NFA engine (descendant paths, no
-// type-based fast-forwarding) against an equivalent linear path on the
-// DFA engine, quantifying what the paper's exclusion of ".." buys.
+// BenchmarkDescendant measures a descendant path (a set of automaton
+// states below the root, so no type-based fast-forwarding) against an
+// equivalent linear path (one live state), quantifying what the paper's
+// exclusion of ".." buys. The sub-benchmark names predate the one
+// engine and are kept so the bench guard compares across it.
 func BenchmarkDescendant(b *testing.B) {
 	data := largeData(b, "gmd")
 	b.Run("linear-dfa", func(b *testing.B) {

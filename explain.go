@@ -10,15 +10,16 @@ import (
 
 // TraceEvent is one fast-forward movement recorded in explain mode: the
 // paper's function that moved the cursor, the group it was charged to,
-// the byte range it covered, and the automaton state the engine was in.
-// For descendant (NFA) queries State holds the live state-set bitmask.
+// the byte range it covered, and the automaton states the engine held:
+// one state as its number, a set of two or more (below a descendant
+// step) as its bitmask, bit q for state q.
 type TraceEvent struct {
 	Group string `json:"group"` // "G1".."G5"
 	Func  string `json:"func"`  // fast-forward function (paper Table 1 names)
 	Start int    `json:"start"` // first byte the movement covered
 	End   int    `json:"end"`   // one past the last byte
 	Bytes int    `json:"bytes"` // End - Start
-	State int    `json:"state"` // automaton state / NFA state-set bits
+	State int    `json:"state"` // automaton state, or state-set bits
 }
 
 // Trace is the bounded fast-forward event log of an explain-mode run:

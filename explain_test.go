@@ -2,6 +2,7 @@ package jsonski_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -110,12 +111,13 @@ func TestExplainBounded(t *testing.T) {
 	}
 }
 
-// TestExplainNFAStateSet checks descendant-path explain: events carry
-// the live NFA state-set bitmask and dead subtrees still show up as G2
-// skips.
+// TestExplainNFAStateSet checks descendant-path explain: an event
+// carries a lone state as its number (0, the descendant itself) and a
+// set of two or more as its bitmask (3 for states 0 and 1, inside the
+// matched "a"), and dead values still show up as G2 skips.
 func TestExplainNFAStateSet(t *testing.T) {
-	doc := []byte(`{"keep": {"deep": 1}, "skip": "nothing"}`)
-	q := jsonski.MustCompile("$..deep")
+	doc := []byte(`{"a": {"x": [1], "b": 2}, "c": 3}`)
+	q := jsonski.MustCompile("$..a.b")
 	st, err := q.RunExplain(doc, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +125,15 @@ func TestExplainNFAStateSet(t *testing.T) {
 	if st.Matches != 1 {
 		t.Fatalf("matches = %d", st.Matches)
 	}
-	if st.Trace() == nil {
-		t.Fatal("no trace")
+	var states []int
+	for _, ev := range st.Trace().Events {
+		if ev.Group != "G2" {
+			t.Errorf("event %+v: want a G2 skip", ev)
+		}
+		states = append(states, ev.State)
+	}
+	if fmt.Sprint(states) != "[0 3 0]" {
+		t.Fatalf("event states %v, want [0 3 0]", states)
 	}
 }
 

@@ -70,6 +70,13 @@ func (a *Automaton) statusFor(next int) Status {
 	return Matched
 }
 
+// IsDescendant reports whether state q is a descendant step (`..sel`):
+// its level is unknown (§5.1), so the state stays live in every value
+// below it, beside whatever successor its inner selector reaches.
+func (a *Automaton) IsDescendant(q int) bool {
+	return q < len(a.steps) && a.steps[q].Kind == jsonpath.Descendant
+}
+
 // IsObjectState reports whether state q can consume attribute names
 // (the pending step selects object members). When q is the accept state
 // it returns false.
@@ -77,8 +84,8 @@ func (a *Automaton) IsObjectState(q int) bool {
 	if q >= len(a.steps) {
 		return false
 	}
-	st := a.steps[q]
-	return st.SelectsMembers() || st.Kind == jsonpath.Descendant
+	st := &a.steps[q]
+	return st.Kind == jsonpath.Descendant || st.SelectsMembers()
 }
 
 // IsArrayState reports whether state q can consume array element indexes.
@@ -86,8 +93,25 @@ func (a *Automaton) IsArrayState(q int) bool {
 	if q >= len(a.steps) {
 		return false
 	}
-	st := a.steps[q]
-	return st.SelectsElements() || st.Kind == jsonpath.Descendant
+	st := &a.steps[q]
+	return st.Kind == jsonpath.Descendant || st.SelectsElements()
+}
+
+// IsNamedChild reports whether state q is a named child step: it
+// selects at most one attribute per object, so after a match the rest
+// of the object is irrelevant (G4).
+func (a *Automaton) IsNamedChild(q int) bool {
+	return q < len(a.steps) && a.steps[q].Kind == jsonpath.Child
+}
+
+// selector returns the selector state q applies to a member: the step
+// itself, or a descendant's inner selector.
+func (a *Automaton) selector(q int) *jsonpath.Step {
+	st := &a.steps[q]
+	if st.Kind == jsonpath.Descendant {
+		return &st.Sel[0]
+	}
+	return st
 }
 
 // MatchKey applies the [Key] rule: in state q, consuming attribute name
@@ -95,12 +119,13 @@ func (a *Automaton) IsArrayState(q int) bool {
 // the successor state and the status. On Unmatched the successor state is
 // meaningless. A filter state returns Candidate: the member is selected
 // only if its value satisfies the predicate, which the engine resolves
-// after consuming the span.
+// after consuming the span. A descendant state matches its inner
+// selector; the caller keeps the state itself live (IsDescendant).
 func (a *Automaton) MatchKey(q int, name []byte) (int, Status) {
 	if q >= len(a.steps) {
 		return q, Unmatched
 	}
-	st := a.steps[q]
+	st := a.selector(q)
 	switch st.Kind {
 	case jsonpath.Wildcard:
 		return q + 1, a.statusFor(q + 1)
@@ -116,12 +141,12 @@ func (a *Automaton) MatchKey(q int, name []byte) (int, Status) {
 
 // MatchIndex applies the array rules: in state q, consuming the element
 // at index idx. It returns the successor state and status (Candidate for
-// filter states, as in MatchKey).
+// filter states, and a descendant's inner selector, as in MatchKey).
 func (a *Automaton) MatchIndex(q int, idx int) (int, Status) {
 	if q >= len(a.steps) {
 		return q, Unmatched
 	}
-	st := a.steps[q]
+	st := a.selector(q)
 	switch st.Kind {
 	case jsonpath.Wildcard:
 		return q + 1, a.statusFor(q + 1)
@@ -137,7 +162,7 @@ func (a *Automaton) MatchIndex(q int, idx int) (int, Status) {
 
 // IndexMatches reports whether a streamable index/slice/wildcard step
 // selects element idx, honoring the slice stride.
-func IndexMatches(st jsonpath.Step, idx int) bool {
+func IndexMatches(st *jsonpath.Step, idx int) bool {
 	if idx < st.Lo || idx >= st.Hi {
 		return false
 	}
@@ -148,14 +173,14 @@ func IndexMatches(st jsonpath.Step, idx int) bool {
 }
 
 // Range returns the element index range selected in state q and whether
-// the state is range-constrained at all (false for [*], filters, and
-// non-array states). Stride gaps inside the range are not represented
-// here; MatchIndex rejects them element-wise.
+// the state is range-constrained at all (false for [*], filters,
+// descendants, and non-array states). Stride gaps inside the range are
+// not represented here; MatchIndex rejects them element-wise.
 func (a *Automaton) Range(q int) (lo, hi int, constrained bool) {
 	if q >= len(a.steps) {
 		return 0, 0, false
 	}
-	st := a.steps[q]
+	st := &a.steps[q]
 	switch st.Kind {
 	case jsonpath.Index, jsonpath.Slice:
 		return st.Lo, st.Hi, true

@@ -142,6 +142,31 @@ func TestStateClassifiers(t *testing.T) {
 	}
 }
 
+// TestDescendantState checks that a descendant state matches its inner
+// selector, reports itself for the caller to keep live, and is neither a
+// named child nor range-constrained.
+func TestDescendantState(t *testing.T) {
+	a := compile(t, "$..a[0]")
+	if !a.IsDescendant(0) || a.IsDescendant(1) || a.IsNamedChild(0) {
+		t.Error("state 0 should be a descendant and not a named child")
+	}
+	if q, st := a.MatchKey(0, []byte("a")); q != 1 || st != Matched {
+		t.Errorf("MatchKey(a) = %d,%v", q, st)
+	}
+	if _, st := a.MatchKey(0, []byte("b")); st != Unmatched {
+		t.Errorf("MatchKey(b) = %v", st)
+	}
+	if _, st := a.MatchIndex(0, 0); st != Unmatched {
+		t.Errorf("MatchIndex at a name selector = %v", st)
+	}
+	if _, _, constrained := a.Range(0); constrained {
+		t.Error("descendant state is range-constrained")
+	}
+	if q, st := compile(t, "$..[1]").MatchIndex(0, 1); q != 1 || st != Accept {
+		t.Errorf("$..[1] MatchIndex(1) = %d,%v", q, st)
+	}
+}
+
 func TestRootTypeAndStepCount(t *testing.T) {
 	a := compile(t, "$[*].text")
 	// A leading wildcard admits object and array roots alike.

@@ -180,7 +180,7 @@ func (ev *Evaluator) ParallelRun(data []byte, workers int, emit func(start, end 
 				if i >= len(elems) {
 					return
 				}
-				if !automaton.IndexMatches(step, i) {
+				if !automaton.IndexMatches(&step, i) {
 					continue
 				}
 				el := elems[i]

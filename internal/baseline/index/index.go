@@ -326,7 +326,7 @@ func (ev *Evaluator) object(ix *Index, vs, close, level int, st jsonpath.Step, w
 // `close` (the ']' position) at nesting level `level`.
 func (ev *Evaluator) array(ix *Index, vs, close, level int, st jsonpath.Step, walk func(int, int, int, int), q int) {
 	wild := st.Kind == jsonpath.Wildcard
-	selects := func(i int) bool { return wild || automaton.IndexMatches(st, i) }
+	selects := func(i int) bool { return wild || automaton.IndexMatches(&st, i) }
 	idx := 0
 	prev := vs + 1
 	bitsInRange(ix.commas[level], vs+1, close, func(comma int) bool {

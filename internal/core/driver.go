@@ -12,8 +12,8 @@ import (
 // skip/output/descend dispatch per member, uniform fast-forward group
 // charging, the recursion bound, and trace-state upkeep; an engine
 // supplies only a stepper policy describing how its match state reacts
-// to keys and indices. The DFA, NFA state-set, and multi-query automata
-// are all thin policies over these three functions.
+// to keys and indices. The single-query engine's state set and the
+// multi-query state vector are thin policies over these three functions.
 
 // action selects what the driver does with one attribute or element
 // value after the policy has matched its key/index.
@@ -29,8 +29,9 @@ const (
 	// actDescend: live state continues into the value; recurse.
 	actDescend
 	// actDescendOutput: actDescend, plus the consumed extent is emitted
-	// afterwards (an NFA/multi state set can accept and continue at
-	// once; a DFA never does).
+	// afterwards (a state set below a descendant, or a multi-query
+	// vector, can accept and continue at once; a single state never
+	// does).
 	actDescendOutput
 	// actProbe: the pending step is a filter selector — the value is a
 	// candidate. The driver fast-forwards over it exactly like actSkip
@@ -40,14 +41,15 @@ const (
 	actProbe
 )
 
-// maxDepth bounds driver recursion. The DFA engine's depth is already
-// bounded by its query length, but NFA and multi policies recurse per
-// nesting level of the input, so the driver enforces one bound for all.
+// maxDepth bounds driver recursion. A linear path's depth is already
+// bounded by its length, but a descendant state and the multi policy
+// recurse per nesting level of the input, so the driver enforces one
+// bound for all.
 const maxDepth = 10000
 
 // stepper is the per-engine policy the driver consults at each step of
-// the descent. S is the state handed down into a value (a DFA state, an
-// NFA state-set bitmask, a multi-query state vector); F is the frame the
+// the descent. S is the state handed down into a value (a state-set
+// bitmask, a multi-query state vector); F is the frame the
 // policy keeps while scanning one container's members; A carries the
 // accepting queries of one member from matchKey/matchIndex to emitMatch.
 type stepper[S, F, A any] interface {

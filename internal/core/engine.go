@@ -5,10 +5,11 @@
 // substructure irrelevant.
 //
 // The engine's recursion *is* the automaton's stack (paper §3.1): each
-// driver frame holds the automaton state for its nesting level, so the
-// [Key]/[Val]/[Ary-S]/[Ary-E] push/pop rules reduce to function call and
-// return. The descent itself lives in driver.go, shared by every engine;
-// this file supplies the single-state DFA policy.
+// driver frame holds the automaton states live at its nesting level, so
+// the [Key]/[Val]/[Ary-S]/[Ary-E] push/pop rules reduce to function call
+// and return. The descent itself lives in driver.go, shared by every
+// engine; this file supplies the policy of the one engine that runs
+// every streamable path, linear or with a descendant step.
 package core
 
 import (
@@ -16,6 +17,7 @@ import (
 
 	"jsonski/internal/automaton"
 	"jsonski/internal/baseline/domparser"
+	"jsonski/internal/bits"
 	"jsonski/internal/fastforward"
 	"jsonski/internal/jsonpath"
 	"jsonski/internal/stream"
@@ -68,11 +70,26 @@ func (st Stats) ScannedBytes() int64 {
 // emitMatch.
 type none = struct{}
 
+// stateSet is the state the engine carries down the descent: a set of
+// automaton states, bit q for state q. Bit StepCount() is the accept
+// bit; it never travels down, since accept has no outgoing transitions.
+type stateSet = uint64
+
 // Engine evaluates one compiled query over byte buffers. An Engine is
 // reusable but not safe for concurrent use; create one per goroutine.
+//
+// A path without a descendant step keeps exactly one state live, and
+// the engine applies the paper's rules to it: G1 from the expected type,
+// G4 after a named child matches, G5 from the index range, and filter
+// probes. A descendant state stays live in every nested value, so a set
+// of two or more states always holds one; its level is unknown (§5.1),
+// so no G1, G4 or G5 applies to such a set. A lone descendant state
+// reaches the same policy through the single-state rules: its expected
+// type is Unknown, it is not a named child, and its range is open.
 type Engine struct {
 	cursor
-	aut *automaton.Automaton
+	aut    *automaton.Automaton
+	accept stateSet
 
 	// filters holds the per-step probe runtimes when the query has
 	// filter selectors (filter.go); nil otherwise — classic queries pay
@@ -110,9 +127,14 @@ func (e *Engine) groupOn(g int) bool {
 	return e.DisabledGroups&(1<<(g-1)) == 0
 }
 
-// NewEngine creates an engine for the automaton.
+// NewEngine creates an engine for the automaton, which must have at
+// most jsonpath.MaxStreamSteps steps (Path.SplitPoint splits longer
+// paths).
 func NewEngine(a *automaton.Automaton) *Engine {
-	return &Engine{aut: a, filters: buildFilterRuntimes(a)}
+	if a.StepCount() > jsonpath.MaxStreamSteps {
+		panic(fmt.Sprintf("core: %d steps exceed the state set", a.StepCount()))
+	}
+	return &Engine{aut: a, accept: 1 << a.StepCount(), filters: buildFilterRuntimes(a)}
 }
 
 // Run evaluates the query over a single JSON record, invoking emit for
@@ -174,79 +196,116 @@ func (e *Engine) run() error {
 		if e.aut.RootType() == jsonpath.Array {
 			return nil // record type cannot match the query
 		}
-		return driveValue[int, int, none](&e.cursor, e, jsonpath.Object, 0, false)
+		return driveValue[stateSet, stateSet, none](&e.cursor, e, jsonpath.Object, 1, false)
 	case '[':
 		if e.aut.RootType() == jsonpath.Object {
 			return nil
 		}
-		return driveValue[int, int, none](&e.cursor, e, jsonpath.Array, 0, false)
+		return driveValue[stateSet, stateSet, none](&e.cursor, e, jsonpath.Array, 1, false)
 	default:
 		return nil // primitive record cannot match a multi-step query
 	}
 }
 
-// ---- stepper policy: a single automaton state descends the values ----
+// ---- stepper policy: a set of automaton states descends the values ----
 
-func (e *Engine) enterObject(q int) (int, jsonpath.ValueType, bool) {
+func (e *Engine) enterObject(set stateSet) (stateSet, jsonpath.ValueType, bool) {
+	if set&(set-1) != 0 {
+		return set, jsonpath.Unknown, true // holds a descendant: no G1
+	}
+	q := bits.TrailingZeros(set)
 	if !e.aut.IsObjectState(q) {
 		// The pending step is an array step: nothing inside this object
 		// can match. (Callers filter on root type, so this only happens
 		// for Unknown-typed descents.)
-		return q, jsonpath.Unknown, false
+		return set, jsonpath.Unknown, false
 	}
 	expected := e.aut.TypeExpected(q)
 	if !e.groupOn(1) {
 		expected = jsonpath.Unknown // G1 ablation: no type filtering
 	}
-	return q, expected, true
+	return set, expected, true
 }
 
-func (e *Engine) enterArray(q int) (int, jsonpath.ValueType, int, int, bool, bool) {
+func (e *Engine) enterArray(set stateSet) (stateSet, jsonpath.ValueType, int, int, bool, bool) {
+	if set&(set-1) != 0 {
+		return set, jsonpath.Unknown, 0, 0, false, true // no G1, no G5
+	}
+	q := bits.TrailingZeros(set)
 	if !e.aut.IsArrayState(q) {
-		return q, jsonpath.Unknown, 0, 0, false, false
+		return set, jsonpath.Unknown, 0, 0, false, false
 	}
 	expected := e.aut.TypeExpected(q)
 	if !e.groupOn(1) {
 		expected = jsonpath.Unknown
 	}
 	lo, hi, constrained := e.aut.Range(q)
-	return q, expected, lo, hi, constrained && e.groupOn(5), true
+	return set, expected, lo, hi, constrained && e.groupOn(5), true
 }
 
-func (e *Engine) matchKey(q int, name []byte) (child int, acc none, act action, done bool) {
-	q2, status := e.aut.MatchKey(q, name)
-	switch status {
-	case automaton.Unmatched:
-		return 0, acc, actSkip, false
-	case automaton.Accept:
-		act = actOutput
-	case automaton.Candidate:
-		// Filter state: consume the span, then decide (filter.go).
-		return q2, acc, actProbe, false
-	default: // Matched: descend into the value
-		child, act = q2, actDescend
+func (e *Engine) matchKey(set stateSet, name []byte) (child stateSet, acc none, act action, done bool) {
+	for s := set; s != 0; s &= s - 1 {
+		q := bits.TrailingZeros(s)
+		switch q2, status := e.aut.MatchKey(q, name); status {
+		case automaton.Candidate:
+			// Filter state: consume the span, then decide (filter.go).
+			// SplitPoint keeps filters out of sets with a descendant.
+			return 1 << q2, acc, actProbe, false
+		case automaton.Matched, automaton.Accept:
+			child |= 1 << q2
+			// G4 applies only to a lone named child step: wildcard and
+			// filter states can match any number of further attributes.
+			done = set == 1<<q && e.aut.IsNamedChild(q) && e.groupOn(4)
+		}
+		if e.aut.IsDescendant(q) {
+			child |= 1 << q
+		}
 	}
-	// G4 applies only to named child steps: wildcard and filter states
-	// can match any number of further attributes.
-	done = e.groupOn(4) && e.aut.Step(q).Kind == jsonpath.Child
+	child, act = e.dispatch(child)
 	return child, acc, act, done
 }
 
-func (e *Engine) matchIndex(q, idx int) (child int, acc none, act action) {
-	q2, status := e.aut.MatchIndex(q, idx)
-	switch status {
-	case automaton.Unmatched:
-		// Out-of-range element (G5 semantics).
-		return 0, acc, actSkip
-	case automaton.Accept:
-		return 0, acc, actOutput
-	case automaton.Candidate:
-		return q2, acc, actProbe
+func (e *Engine) matchIndex(set stateSet, idx int) (child stateSet, acc none, act action) {
+	for s := set; s != 0; s &= s - 1 {
+		q := bits.TrailingZeros(s)
+		switch q2, status := e.aut.MatchIndex(q, idx); status {
+		case automaton.Candidate:
+			return 1 << q2, acc, actProbe
+		case automaton.Matched, automaton.Accept:
+			child |= 1 << q2
+		}
+		if e.aut.IsDescendant(q) {
+			child |= 1 << q
+		}
+	}
+	child, act = e.dispatch(child)
+	return child, acc, act
+}
+
+// dispatch turns a successor set into the driver action: the accept bit
+// outputs, the other states descend, and both together do both. An
+// empty set is a skip (G2 for an attribute, G5 for an element).
+func (e *Engine) dispatch(next stateSet) (stateSet, action) {
+	rest := next &^ e.accept
+	switch {
+	case next == rest && rest == 0:
+		return 0, actSkip
+	case next == rest:
+		return rest, actDescend
+	case rest == 0:
+		return 0, actOutput
 	default:
-		return q2, acc, actDescend
+		return rest, actDescendOutput
 	}
 }
 
 func (e *Engine) emitMatch(_ none, start, end int) { e.emitSpan(start, end) }
 
-func (e *Engine) stateID(q int) int { return q }
+// stateID renders a single state as its number and a larger set as its
+// bitmask, for explain-trace events.
+func (e *Engine) stateID(set stateSet) int {
+	if set&(set-1) == 0 {
+		return bits.TrailingZeros(set)
+	}
+	return int(set)
+}

@@ -3,11 +3,12 @@ package core
 import (
 	"jsonski/internal/automaton"
 	"jsonski/internal/baseline/domparser"
+	"jsonski/internal/bits"
 	"jsonski/internal/fastforward"
 	"jsonski/internal/jsonpath"
 )
 
-// Filter probes: how the DFA policy evaluates RFC 9535 filter selectors
+// Filter probes: how the engine evaluates RFC 9535 filter selectors
 // without giving up fast-forwarding.
 //
 // A filter state cannot decide a member from its key or index alone, so
@@ -18,7 +19,7 @@ import (
 //
 //   - skip-eligible plan: every query embedded in the predicate is a
 //     relative singular child chain (`@.a.b`). Each distinct chain
-//     becomes a mini child-chain DFA run over the candidate span with
+//     becomes a mini child-chain engine run over the candidate span with
 //     full fast-forwarding — G1 type filtering prunes wrong-typed
 //     values, G4 jumps out after the unique key — so the candidate is
 //     never fully parsed. Chains resolve lazily (an `&&` that fails on
@@ -170,13 +171,13 @@ func (fr *filterRuntime) probeOp(selected bool) fastforward.Op {
 	return fastforward.OpProbeFullParseReject
 }
 
-// resolveProbe is the DFA policy's probe decision: child is the state
-// past the filter step, [start, end) the candidate span the driver just
-// consumed. Selected candidates emit (filter last) or re-descend through
-// the suffix engine.
-func (e *Engine) resolveProbe(child int, vt jsonpath.ValueType, start, end int, g fastforward.Group) error {
-	q := child - 1
-	fr := e.filters[q]
+// resolveProbe is the engine's probe decision: child holds the one
+// state past the filter step, [start, end) the candidate span the
+// driver just consumed. Selected candidates emit (filter last) or
+// re-descend through the suffix engine.
+func (e *Engine) resolveProbe(child stateSet, vt jsonpath.ValueType, start, end int, g fastforward.Group) error {
+	next := bits.TrailingZeros(child)
+	fr := e.filters[next-1]
 	raw := e.s.Data()[start:end]
 	selected := e.probeHolds(fr, raw, vt)
 	if e.trace != nil {
@@ -185,7 +186,7 @@ func (e *Engine) resolveProbe(child int, vt jsonpath.ValueType, start, end int, 
 	if !selected {
 		return nil
 	}
-	if child == e.aut.StepCount() {
+	if next == e.aut.StepCount() {
 		e.emitSpan(start, end)
 		return nil
 	}
@@ -257,7 +258,7 @@ func (e *Engine) operandVal(fr *filterRuntime, o jsonpath.Operand, raw []byte, v
 }
 
 // probeChain resolves chain i against the candidate: a mini child-chain
-// DFA run over the span, memoized per candidate. Non-object candidates
+// engine run over the span, memoized per candidate. Non-object candidates
 // resolve every child chain to Nothing without any probe.
 func (e *Engine) probeChain(fr *filterRuntime, i int, raw []byte, vt jsonpath.ValueType) jsonpath.CmpVal {
 	if fr.valSet[i] {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"jsonski/internal/automaton"
 	"jsonski/internal/fastforward"
 	"jsonski/internal/jsonpath"
 )
@@ -14,26 +13,12 @@ import (
 // (DisableFastForward) and doubles as an in-package correctness oracle —
 // both paths must produce identical matches on identical input.
 
-func (e *Engine) runFull(b byte) error {
-	switch b {
-	case '{':
-		return e.fullObject(0)
-	case '[':
-		return e.fullArray(0)
-	default:
-		// A primitive record cannot match a multi-step query.
-		e.skipFullPrimitive()
-		return nil
-	}
-}
-
-// deadState is an automaton state from which no key or index matches;
-// descending with it parses a subtree in detail while matching nothing.
-func (e *Engine) deadState() int { return e.aut.StepCount() + 1 }
+func (e *Engine) runFull(b byte) error { return e.fullValue(b, 1) }
 
 // fullObject parses the object under the cursor token by token, applying
-// the [Key]/[Val] rules at each attribute.
-func (e *Engine) fullObject(q int) error {
+// the [Key]/[Val] rules at each attribute. An empty set parses a subtree
+// in detail while matching nothing.
+func (e *Engine) fullObject(set stateSet) error {
 	s := e.s
 	s.Advance(1) // consume '{'
 	for {
@@ -63,35 +48,15 @@ func (e *Engine) fullObject(q int) error {
 		if !ok {
 			return fmt.Errorf("core: attribute without value at %d", s.Pos())
 		}
-		q2, status := e.aut.MatchKey(q, name)
-		if status == automaton.Unmatched {
-			q2 = e.deadState()
-		}
-		start := s.Pos()
-		if status == automaton.Candidate {
-			// Parse the candidate in detail (no fast-forwarding in this
-			// ablation), then decide the predicate like the normal path.
-			if err := e.fullValue(vb, e.deadState()); err != nil {
-				return err
-			}
-			end := trimWSEnd(s.Data(), start, s.Pos())
-			if err := e.resolveProbe(q2, jsonpath.TypeOfByte(vb), start, end, fastforward.G2); err != nil {
-				return err
-			}
-			continue
-		}
-		accept := status == automaton.Accept
-		if err := e.fullValue(vb, q2); err != nil {
+		child, _, act, _ := e.matchKey(set, name)
+		if err := e.fullMember(vb, child, act, fastforward.G2); err != nil {
 			return err
-		}
-		if accept {
-			e.emitSpan(start, s.Pos())
 		}
 	}
 }
 
 // fullArray parses the array under the cursor token by token.
-func (e *Engine) fullArray(q int) error {
+func (e *Engine) fullArray(set stateSet) error {
 	s := e.s
 	s.Advance(1) // consume '['
 	idx := 0
@@ -109,47 +74,46 @@ func (e *Engine) fullArray(q int) error {
 			idx++
 			continue
 		}
-		q2, status := e.aut.MatchIndex(q, idx)
-		if status == automaton.Unmatched {
-			q2 = e.deadState()
-		}
-		start := s.Pos()
-		if status == automaton.Candidate {
-			if err := e.fullValue(b, e.deadState()); err != nil {
-				return err
-			}
-			end := trimWSEnd(s.Data(), start, s.Pos())
-			if err := e.resolveProbe(q2, jsonpath.TypeOfByte(b), start, end, fastforward.G5); err != nil {
-				return err
-			}
-			continue
-		}
-		accept := status == automaton.Accept
-		if err := e.fullValue(b, q2); err != nil {
+		child, _, act := e.matchIndex(set, idx)
+		if err := e.fullMember(b, child, act, fastforward.G5); err != nil {
 			return err
-		}
-		if accept {
-			e.emitSpan(start, s.Pos())
 		}
 	}
 }
 
-// fullValue parses one value of any type in detail, matching against q2.
-func (e *Engine) fullValue(b byte, q2 int) error {
+// fullMember parses one attribute or element value in detail and acts
+// on the engine's decision for it. A filter candidate is parsed like a
+// dead value (no fast-forwarding in this ablation) and then decided like
+// the normal path; g is the group its probe event reports.
+func (e *Engine) fullMember(b byte, child stateSet, act action, g fastforward.Group) error {
+	start := e.s.Pos()
+	if act == actProbe {
+		if err := e.fullValue(b, 0); err != nil {
+			return err
+		}
+		end := trimWSEnd(e.s.Data(), start, e.s.Pos())
+		return e.resolveProbe(child, jsonpath.TypeOfByte(b), start, end, g)
+	}
+	if err := e.fullValue(b, child); err != nil {
+		return err
+	}
+	if act == actOutput || act == actDescendOutput {
+		e.emitSpan(start, e.s.Pos())
+	}
+	return nil
+}
+
+// fullValue parses one value of any type in detail, matching against set.
+func (e *Engine) fullValue(b byte, set stateSet) error {
 	switch b {
 	case '{':
-		return e.fullObject(q2)
+		return e.fullObject(set)
 	case '[':
-		return e.fullArray(q2)
+		return e.fullArray(set)
 	case '"':
 		return e.s.SkipString()
 	default:
-		e.skipFullPrimitive()
+		e.s.SkipPrimitive()
 		return nil
 	}
-}
-
-// skipFullPrimitive consumes a non-string primitive token.
-func (e *Engine) skipFullPrimitive() {
-	e.s.SkipPrimitive()
 }

@@ -175,7 +175,7 @@ func (e *MultiEngine) enterObject(st states) (*multiFrame, jsonpath.ValueType, b
 		}
 		f.live[i] = q
 		nLive++
-		if e.auts[i].Step(int(q)).Kind != jsonpath.Child {
+		if !e.auts[i].IsNamedChild(int(q)) {
 			// Wildcard (or any non-unique-key) steps can match more than
 			// one attribute, so G4 stays off for this object.
 			f.anyWildcard = true
@@ -240,7 +240,7 @@ func (e *MultiEngine) matchKey(f *multiFrame, name []byte) (child states, accept
 		default:
 			continue
 		}
-		if e.auts[i].Step(int(q)).Kind == jsonpath.Child {
+		if e.auts[i].IsNamedChild(int(q)) {
 			// Named attributes are unique; wildcard states stay live.
 			f.live[i] = deadState
 			f.remaining--

@@ -77,11 +77,11 @@ func TestDFAMultiStatsParity(t *testing.T) {
 	}
 }
 
-// TestDFANFAMatchParity runs linear (descendant-free) queries through
-// the NFA engine and requires the same spans and InputBytes as the DFA.
-// Group charges are NOT compared: below-descendant uncertainty means the
-// NFA engine never uses G1/G4, so the same skipped bytes land in
-// different groups by design.
+// TestDFANFAMatchParity runs linear queries under the fast-forward
+// rules the engine applies to a set holding a descendant (no G1, G4 or
+// G5) and requires the same spans and InputBytes as under the
+// single-state rules. Group charges are NOT compared: the same skipped
+// bytes land in different groups by design.
 func TestDFANFAMatchParity(t *testing.T) {
 	for _, tc := range parityCases {
 		t.Run(tc.query, func(t *testing.T) {
@@ -90,93 +90,31 @@ func TestDFANFAMatchParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			data := []byte(tc.data)
-
-			dfa := NewEngine(automaton.New(p))
-			var dfaSpans []string
-			dfaStats, err := dfa.Run(data, func(s, e int) {
-				dfaSpans = append(dfaSpans, tc.data[s:e])
-			})
-			if err != nil {
-				t.Fatalf("dfa: %v", err)
+			run := func(disabled uint8) ([]string, Stats) {
+				e := NewEngine(automaton.New(p))
+				e.DisabledGroups = disabled
+				var spans []string
+				st, err := e.Run(data, func(start, end int) { spans = append(spans, tc.data[start:end]) })
+				if err != nil {
+					t.Fatalf("disabled=%b: %v", disabled, err)
+				}
+				return spans, st
 			}
-
-			nfa, err := NewNFAEngine(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var nfaSpans []string
-			nfaStats, err := nfa.Run(data, func(s, e int) {
-				nfaSpans = append(nfaSpans, tc.data[s:e])
-			})
-			if err != nil {
-				t.Fatalf("nfa: %v", err)
-			}
-
+			dfaSpans, dfaStats := run(0)
+			nfaSpans, nfaStats := run(1<<0 | 1<<3 | 1<<4)
 			if !reflect.DeepEqual(dfaSpans, nfaSpans) {
-				t.Errorf("spans diverge:\n dfa %q\n nfa %q", dfaSpans, nfaSpans)
+				t.Errorf("spans diverge:\n single-state %q\n set         %q", dfaSpans, nfaSpans)
 			}
 			if dfaStats.Matches != nfaStats.Matches ||
 				dfaStats.InputBytes != nfaStats.InputBytes {
-				t.Errorf("stats diverge: dfa %+v nfa %+v", dfaStats, nfaStats)
+				t.Errorf("stats diverge: single-state %+v set %+v", dfaStats, nfaStats)
 			}
 		})
 	}
 }
 
-// TestNFARunIndexedWindowMatchesDFA crosschecks the NFA window entry
-// point against the DFA one: over every record window of a shared
-// structural index, a linear query must emit identical absolute spans
-// through both engines.
-func TestNFARunIndexedWindowMatchesDFA(t *testing.T) {
-	records := []string{
-		`{"a": {"b": 1}, "pad": "xxxxxxxxxxxxxxxx"}`,
-		`{"a": {"b": [2, 3]}, "c": "not here"}`,
-		`{"a": "wrong type"}`,
-		`{"a": {"b": {"deep": true}}}`,
-	}
-	buf := []byte(strings.Join(records, "\n"))
-	ix := stream.NewIndex(buf)
-
-	queries := []string{"$.a.b", "$.a.*", "$.a"}
-	for _, query := range queries {
-		p, err := jsonpath.Parse(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo := 0
-		for i, rec := range records {
-			hi := lo + len(rec)
-			name := fmt.Sprintf("%s/record%d", query, i)
-
-			dfa := NewEngine(automaton.New(p))
-			var dfaSpans [][2]int
-			if _, err := dfa.RunIndexedWindow(ix, lo, hi, func(s, e int) {
-				dfaSpans = append(dfaSpans, [2]int{s, e})
-			}); err != nil {
-				t.Fatalf("%s: dfa window: %v", name, err)
-			}
-
-			nfa, err := NewNFAEngine(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var nfaSpans [][2]int
-			if _, err := nfa.RunIndexedWindow(ix, lo, hi, func(s, e int) {
-				nfaSpans = append(nfaSpans, [2]int{s, e})
-			}); err != nil {
-				t.Fatalf("%s: nfa window: %v", name, err)
-			}
-
-			if !reflect.DeepEqual(dfaSpans, nfaSpans) {
-				t.Errorf("%s: window spans diverge:\n dfa %v\n nfa %v", name, dfaSpans, nfaSpans)
-			}
-			lo = hi + 1
-		}
-	}
-}
-
 // TestNFAWindowMatchesSliceRun crosschecks RunIndexedWindow for a
-// descendant query (which only the NFA engine evaluates) against a
+// descendant query (a set of states below the root) against a
 // plain Run over the window's sub-slice: the spans must agree after
 // shifting by the window offset, proving the windowed stream sees
 // exactly the record's bytes.
@@ -197,10 +135,7 @@ func TestNFAWindowMatchesSliceRun(t *testing.T) {
 	for i, rec := range records {
 		hi := lo + len(rec)
 
-		windowed, err := NewNFAEngine(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		windowed := NewEngine(automaton.New(p))
 		var winSpans [][2]int
 		winStats, err := windowed.RunIndexedWindow(ix, lo, hi, func(s, e int) {
 			winSpans = append(winSpans, [2]int{s - lo, e - lo})
@@ -209,10 +144,7 @@ func TestNFAWindowMatchesSliceRun(t *testing.T) {
 			t.Fatalf("record %d: window: %v", i, err)
 		}
 
-		direct, err := NewNFAEngine(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		direct := NewEngine(automaton.New(p))
 		var directSpans [][2]int
 		directStats, err := direct.Run([]byte(rec), func(s, e int) {
 			directSpans = append(directSpans, [2]int{s, e})

@@ -105,7 +105,7 @@ func (e *ScalarEngine) object(q int) error {
 		return e.toObjEnd()
 	}
 	expected := e.aut.TypeExpected(q)
-	unique := e.aut.Step(q).Kind == jsonpath.Child
+	unique := e.aut.IsNamedChild(q)
 	for {
 		e.ws()
 		if e.pos >= len(e.data) {

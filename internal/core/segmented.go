@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"jsonski/internal/automaton"
 	"jsonski/internal/baseline/domparser"
 	"jsonski/internal/jsonpath"
@@ -10,49 +8,34 @@ import (
 	"jsonski/internal/telemetry"
 )
 
-// SegmentedEngine evaluates paths the forward-streaming engines cannot
-// finish alone: unions, negative indexes and bounds, backward slices,
-// and descendant+filter mixes. The path is split at its SplitPoint; the
-// streamable prefix runs through the DFA engine (or the NFA engine when
-// it holds a descendant) with full fast-forwarding, and every span the
+// SegmentedEngine evaluates paths the streaming engine cannot finish
+// alone: unions, negative indexes and bounds, backward slices, a second
+// descendant step, descendant+filter mixes, and paths longer than the
+// state set. The path is split at its SplitPoint; the streamable prefix
+// runs through the engine with full fast-forwarding, and every span the
 // prefix selects is handed to the reference evaluator for the deferred
-// tail. All fast-forward charges come from the prefix; the tail is a
-// DOM parse of the selected spans only, so the engine still skips
+// tail. All fast-forward charges come from the prefix; the tail is a DOM
+// parse of the selected spans only, so the engine still skips
 // everything the prefix proves irrelevant.
 type SegmentedEngine struct {
-	dfa     *Engine
-	nfa     *NFAEngine
+	prefix  *Engine // nil when the path splits at its first step
 	tail    []jsonpath.Step
 	tailAbs bool
 }
 
 // NewSegmentedEngine builds the engine; the path must have a split point
-// (fully streamable paths belong to the DFA/NFA engines directly).
-func NewSegmentedEngine(p *jsonpath.Path) (*SegmentedEngine, error) {
+// (fully streamable paths belong to the engine directly).
+func NewSegmentedEngine(p *jsonpath.Path) *SegmentedEngine {
 	k := p.SplitPoint()
 	if k < 0 {
-		return nil, fmt.Errorf("core: path is fully streamable; use the DFA or NFA engine")
+		panic("core: path is fully streamable; use the engine")
 	}
 	tail := p.Steps[k:]
 	se := &SegmentedEngine{tail: tail, tailAbs: jsonpath.StepsHaveAbsolute(tail)}
-	prefix := p.Steps[:k]
-	hasDesc := false
-	for _, st := range prefix {
-		if st.Kind == jsonpath.Descendant {
-			hasDesc = true
-		}
+	if k > 0 {
+		se.prefix = NewEngine(automaton.New(&jsonpath.Path{Steps: p.Steps[:k]}))
 	}
-	pp := &jsonpath.Path{Steps: prefix}
-	if hasDesc {
-		nfa, err := NewNFAEngine(pp)
-		if err != nil {
-			return nil, err
-		}
-		se.nfa = nfa
-	} else if len(prefix) > 0 {
-		se.dfa = NewEngine(automaton.New(pp))
-	}
-	return se, nil
+	return se
 }
 
 // SetTrace binds (or with nil unbinds) an explain trace on the prefix
@@ -60,11 +43,8 @@ func NewSegmentedEngine(p *jsonpath.Path) (*SegmentedEngine, error) {
 // tail is a DOM walk that never moves the stream cursor, so the trace
 // fully accounts for the run's skipping.
 func (se *SegmentedEngine) SetTrace(t *telemetry.Trace) {
-	switch {
-	case se.nfa != nil:
-		se.nfa.SetTrace(t)
-	case se.dfa != nil:
-		se.dfa.SetTrace(t)
+	if se.prefix != nil {
+		se.prefix.SetTrace(t)
 	}
 }
 
@@ -115,18 +95,10 @@ func (se *SegmentedEngine) eval(data []byte, ix *stream.Index, lo, hi int, emit 
 		err error
 	)
 	switch {
-	case se.nfa != nil:
-		if ix != nil {
-			st, err = se.nfa.RunIndexedWindow(ix, lo, hi, tailEval)
-		} else {
-			st, err = se.nfa.Run(data, tailEval)
-		}
-	case se.dfa != nil:
-		if ix != nil {
-			st, err = se.dfa.RunIndexedWindow(ix, lo, hi, tailEval)
-		} else {
-			st, err = se.dfa.Run(data, tailEval)
-		}
+	case se.prefix != nil && ix != nil:
+		st, err = se.prefix.RunIndexedWindow(ix, lo, hi, tailEval)
+	case se.prefix != nil:
+		st, err = se.prefix.Run(data, tailEval)
 	default:
 		// Empty prefix: the record itself is the single candidate.
 		if span := trimWS(data, lo, hi); len(span) > 0 {

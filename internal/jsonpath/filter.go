@@ -1,8 +1,8 @@
 // Filter selectors (RFC 9535 §2.3.5): the expression AST, the
 // recursive-descent grammar (logical-or → logical-and → basic-expr),
-// and the comparison semantics shared by every evaluator — the DFA
-// probe planner, the NFA-free deferred tail, and the DOM reference
-// walker all funnel through Compare/DecodeValue so a filter means the
+// and the comparison semantics shared by every evaluator — the
+// streaming engine's probe planner, the deferred tail, and the DOM
+// reference walker all funnel through Compare/DecodeValue so a filter means the
 // same thing on every path through the system.
 package jsonpath
 
@@ -305,12 +305,18 @@ func StepsHaveAbsolute(steps []Step) bool {
 // true when *every* embedded query is such a chain — the condition for
 // the skip-eligible probe plan, which answers the predicate from typed
 // child probes without parsing the whole candidate. Absolute queries,
-// indexes, wildcards, slices, and nested filters force a full parse.
+// indexes, wildcards, slices, nested filters, and chains longer than
+// MaxStreamSteps (a probe is a streaming run of the chain) force a full
+// parse.
 func (f *FilterExpr) SingularChildRefs() (refs [][]string, eligible bool) {
 	eligible = true
 	var walk func(e *FilterExpr)
 	addQuery := func(q *SubQuery) {
 		if q.Absolute {
+			eligible = false
+			return
+		}
+		if len(q.Path.Steps) > MaxStreamSteps {
 			eligible = false
 			return
 		}

@@ -11,7 +11,7 @@
 // Beyond parsing, the package performs the type inference of paper
 // §3.2 (each step's Expect comes from its successor) and classifies
 // every step as streamable — evaluable in one forward pass by the
-// automaton engines, possibly with filter probes — or deferred, in
+// streaming engine, possibly with filter probes — or deferred, in
 // which case Compile splits the path at [Path.SplitPoint] and hands the
 // tail to the DOM-walking reference evaluator.
 package jsonpath
@@ -147,13 +147,13 @@ type Step struct {
 }
 
 // SelectsMembers reports whether the step can select object members.
-func (st Step) SelectsMembers() bool {
+func (st *Step) SelectsMembers() bool {
 	switch st.Kind {
 	case Child, Wildcard, Filter:
 		return true
 	case Union:
-		for _, s := range st.Sel {
-			if s.SelectsMembers() {
+		for i := range st.Sel {
+			if st.Sel[i].SelectsMembers() {
 				return true
 			}
 		}
@@ -162,13 +162,13 @@ func (st Step) SelectsMembers() bool {
 }
 
 // SelectsElements reports whether the step can select array elements.
-func (st Step) SelectsElements() bool {
+func (st *Step) SelectsElements() bool {
 	switch st.Kind {
 	case Index, Slice, Wildcard, Filter:
 		return true
 	case Union:
-		for _, s := range st.Sel {
-			if s.SelectsElements() {
+		for i := range st.Sel {
+			if st.Sel[i].SelectsElements() {
 				return true
 			}
 		}
@@ -177,7 +177,7 @@ func (st Step) SelectsElements() bool {
 }
 
 // Streamable reports whether the step can be evaluated in a single
-// forward pass by the automaton engines: child and wildcard steps,
+// forward pass by the streaming engine: child and wildcard steps,
 // non-negative indexes, forward slices, filters (via span probes), and
 // descendant segments with one streamable non-filter selector. Unions,
 // negative indexes/bounds, and backward slices are deferred — their
@@ -195,8 +195,8 @@ func (st Step) Streamable() bool {
 			return false
 		}
 		s := st.Sel[0]
-		// Filter probes are a DFA-policy feature; a filter under a
-		// descendant would need them in the NFA, so it is deferred.
+		// A filter is decided from a single state, and a descendant
+		// keeps its own state live beside it, so `..[?...]` is deferred.
 		return s.Kind != Filter && s.Kind != Descendant && s.Streamable()
 	default: // Union
 		return false
@@ -277,35 +277,43 @@ func (p *Path) HasFilter() bool {
 	return false
 }
 
-// SplitPoint returns the index of the first step the automaton engines
+// MaxStreamSteps bounds the steps the streaming engine evaluates: it
+// holds its set of automaton states in one uint64 word, one bit per
+// state plus the accept bit.
+const MaxStreamSteps = 62
+
+// SplitPoint returns the index of the first step the streaming engine
 // cannot evaluate in a forward pass, or -1 when the whole path streams.
-// Besides deferred steps (unions, negative indexes/bounds, backward
-// slices), a path mixing descendant and filter steps splits at the
-// earlier of the two: filter probes live in the DFA policy and
-// descendants in the NFA, and neither engine hosts the other's feature.
+// The path splits at the earliest of:
+//   - a deferred step (union, negative index or bound, backward slice):
+//     its RFC semantics need the container length or per-selector order;
+//   - a second descendant step: RFC 9535 §2.5.2.2 outputs a node once
+//     for each descendant run that reaches it, and a set of states
+//     cannot count runs;
+//   - step MaxStreamSteps, the width of the state set.
+//
+// A path that mixes a descendant and a filter before that point splits
+// at the earlier of the two: a filter candidate is decided from a single
+// state, and a live descendant keeps the set larger than one.
 func (p *Path) SplitPoint() int {
-	desc, filt := -1, -1
-	for i, st := range p.Steps {
-		if !st.Streamable() {
-			if desc >= 0 && filt >= 0 {
-				break
-			}
-			return i
+	k, desc, filt := -1, -1, -1
+	for i := range p.Steps {
+		st := &p.Steps[i]
+		if i == MaxStreamSteps || !st.Streamable() || st.Kind == Descendant && desc >= 0 {
+			k = i
+			break
 		}
-		if desc < 0 && st.Kind == Descendant {
+		switch {
+		case st.Kind == Descendant:
 			desc = i
-		}
-		if filt < 0 && st.Kind == Filter {
+		case st.Kind == Filter && filt < 0:
 			filt = i
 		}
 	}
 	if desc >= 0 && filt >= 0 {
-		if desc < filt {
-			return desc
-		}
-		return filt
+		return min(desc, filt)
 	}
-	return -1
+	return k
 }
 
 // String returns the original query text.

@@ -324,6 +324,11 @@ func TestSplitPoint(t *testing.T) {
 		{"$..a[?@.x]", 0},    // descendant + filter: split at the descendant
 		{"$..['a','b']", 0},  // multi-selector descendant is deferred
 		{"$.a[1:0:-1].b", 1}, // backward slice
+		{"$..a..b", 1},       // second descendant: a set cannot count runs
+		{"$.x..a.b..c", 3},
+		{"$" + strings.Repeat(".a", 62), -1},
+		{"$" + strings.Repeat(".a", 70), MaxStreamSteps},
+		{"$" + strings.Repeat(".a", 61) + "['x','y']", 61},
 	}
 	for _, c := range cases {
 		if got := MustParse(c.q).SplitPoint(); got != c.want {

@@ -20,12 +20,12 @@ func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 	s.m.counts[docRequests].Add(1)
 	path := r.URL.Query().Get("get")
 	if path == "" {
-		s.jsonError(w, http.StatusBadRequest, errors.New("missing ?get= query parameter"))
+		s.reject(w, r, http.StatusBadRequest, errors.New("missing ?get= query parameter"))
 		return
 	}
 	segs, err := jsonski.ParseDotPath(path)
 	if err != nil {
-		s.jsonError(w, http.StatusBadRequest, err)
+		s.reject(w, r, http.StatusBadRequest, err)
 		return
 	}
 

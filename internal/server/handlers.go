@@ -99,12 +99,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.m.counts[queryRequests].Add(1)
 	path := r.URL.Query().Get("path")
 	if path == "" {
-		s.jsonError(w, http.StatusBadRequest, errors.New("missing ?path= query parameter"))
+		s.reject(w, r, http.StatusBadRequest, errors.New("missing ?path= query parameter"))
 		return
 	}
 	q, err := s.cache.Query(path)
 	if err != nil {
-		s.jsonError(w, http.StatusBadRequest, err)
+		s.reject(w, r, http.StatusBadRequest, err)
 		return
 	}
 	// The request's root span (nil unless tracing is on and the request
@@ -156,19 +156,19 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 	s.m.counts[multiRequests].Add(1)
 	paths := r.URL.Query()["path"]
 	if len(paths) == 0 {
-		s.jsonError(w, http.StatusBadRequest, errors.New("missing ?path= query parameters"))
+		s.reject(w, r, http.StatusBadRequest, errors.New("missing ?path= query parameters"))
 		return
 	}
 	if explainRequested(r) {
 		// The shared-pass MultiEngine interleaves all queries' movements;
 		// per-query attribution would be misleading, so explain is a
 		// /query-only feature.
-		s.jsonError(w, http.StatusBadRequest, errors.New("explain is not supported on /multi; use /query"))
+		s.reject(w, r, http.StatusBadRequest, errors.New("explain is not supported on /multi; use /query"))
 		return
 	}
 	qs, err := s.cache.QuerySet(paths...)
 	if err != nil {
-		s.jsonError(w, http.StatusBadRequest, err)
+		s.reject(w, r, http.StatusBadRequest, err)
 		return
 	}
 	rsp := telemetry.SpanFromContext(r.Context())

@@ -23,9 +23,9 @@ type indexEntryJSON struct {
 var errNoCatalog = errors.New("no index catalog configured (start with -index-dir)")
 
 // requireCatalog rejects /index requests on a catalog-less server.
-func (s *Server) requireCatalog(w http.ResponseWriter) bool {
+func (s *Server) requireCatalog(w http.ResponseWriter, r *http.Request) bool {
 	if s.catalog == nil {
-		s.jsonError(w, http.StatusServiceUnavailable, errNoCatalog)
+		s.reject(w, r, http.StatusServiceUnavailable, errNoCatalog)
 		return false
 	}
 	return true
@@ -39,7 +39,7 @@ func (s *Server) requireCatalog(w http.ResponseWriter) bool {
 // with its per-record span table. Responds 201 with the entry info, or
 // 200 when the document was already cataloged.
 func (s *Server) handleIndexPut(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCatalog(w) {
+	if !s.requireCatalog(w, r) {
 		return
 	}
 	data, err := io.ReadAll(s.requestBody(w, r))
@@ -95,7 +95,7 @@ func (s *Server) entryInfo(hash uint64) jsonski.CatalogEntry {
 // handleIndexList serves GET /index: the catalog directory, counters,
 // and every entry most-recently-used first.
 func (s *Server) handleIndexList(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCatalog(w) {
+	if !s.requireCatalog(w, r) {
 		return
 	}
 	st := s.catalog.Stats()
@@ -126,7 +126,7 @@ func parseIndexHash(r *http.Request) (uint64, error) {
 
 // handleIndexGet serves GET /index/{hash}.
 func (s *Server) handleIndexGet(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCatalog(w) {
+	if !s.requireCatalog(w, r) {
 		return
 	}
 	hash, err := parseIndexHash(r)
@@ -145,7 +145,7 @@ func (s *Server) handleIndexGet(w http.ResponseWriter, r *http.Request) {
 // unlink its sidecar. Readers still streaming over the mapped index are
 // unaffected; the mapping lives until their last release.
 func (s *Server) handleIndexDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCatalog(w) {
+	if !s.requireCatalog(w, r) {
 		return
 	}
 	hash, err := parseIndexHash(r)

@@ -329,6 +329,16 @@ func (s *Server) requestBody(w http.ResponseWriter, r *http.Request) io.Reader {
 	return &countingReader{r: body, n: &s.m.counts[bytesIn]}
 }
 
+// reject answers a request refused before its body was read. It reads
+// the body out first, through requestBody so the size cap and
+// io.bytes_in still apply: net/http drains at most 256 KiB after a
+// handler returns and then closes the connection, so a client still
+// uploading a larger body would get a broken pipe instead of the error.
+func (s *Server) reject(w http.ResponseWriter, r *http.Request, status int, err error) {
+	_, _ = io.Copy(io.Discard, s.requestBody(w, r))
+	s.jsonError(w, status, err)
+}
+
 // readDocument reads a single-document body whole, trimmed; on a read
 // error or an empty document it sends the error response instead.
 func (s *Server) readDocument(w http.ResponseWriter, body io.Reader) ([]byte, bool) {

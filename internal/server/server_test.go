@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -117,6 +118,46 @@ func TestQueryBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /query status %d", resp.StatusCode)
+	}
+}
+
+// TestRejectionsReadLargeBody posts a 4 MiB body to each request the
+// server refuses before it looks at the body, over a raw connection
+// that writes the whole body before it reads the response. The server
+// must read the body out: a rejection that leaves it unread closes the
+// connection once net/http's 256 KiB drain gives up, and the upload
+// fails with a broken pipe instead of delivering the error.
+func TestRejectionsReadLargeBody(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	rec := `{"v": 1}` + "\n"
+	body := strings.Repeat(rec, 4<<20/len(rec))
+	for _, tc := range []struct {
+		target string
+		status int
+	}{
+		{"/query", http.StatusBadRequest},
+		{"/query?path=" + url.QueryEscape("$["), http.StatusBadRequest},
+		{"/multi?explain=1&path=" + url.QueryEscape("$.v"), http.StatusBadRequest},
+		{"/doc", http.StatusBadRequest},
+		{"/index", http.StatusServiceUnavailable},
+	} {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: jsonskid\r\nContent-Length: %d\r\n\r\n", tc.target, len(body))
+		if _, err := io.WriteString(conn, body); err != nil {
+			t.Fatalf("%s: writing the body: %v", tc.target, err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("%s: reading the response: %v", tc.target, err)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		conn.Close()
+		if err != nil || resp.StatusCode != tc.status || !strings.Contains(string(msg), `"error"`) {
+			t.Fatalf("%s: status %d body %q err %v; want %d and an error", tc.target, resp.StatusCode, msg, err, tc.status)
+		}
 	}
 }
 

@@ -137,7 +137,7 @@ func TestStressRFC9535SelectorsConcurrent(t *testing.T) {
 			want: func(d int) string { return fmt.Sprintf(`{"record":0,"value":%d}`+"\n", d) }},
 		{path: "$.items[-1].price", // negative index -> segmented engine
 			want: func(d int) string { return fmt.Sprintf(`{"record":0,"value":%d}`+"\n", d+10) }},
-		{path: "$..price", nlines: 2}, // descendant -> NFA, order engine-defined
+		{path: "$..price", nlines: 2}, // descendant: order engine-defined
 	}
 	multiURL := ts.URL + "/multi?path=" + url.QueryEscape("$.items[*].name") +
 		"&path=" + url.QueryEscape("$.items[?@.price >= 10].price") +

@@ -1,14 +1,14 @@
 package telemetry
 
 // Event is one recorded fast-forward movement: which group and function
-// moved the cursor, over which byte range, and the automaton state the
-// engine was in at the time. For the NFA engine State holds the live
-// state-set bitmask instead of a single DFA state.
+// moved the cursor, over which byte range, and the automaton states the
+// engine held at the time: one state as its number, a set of two or
+// more (below a descendant step) as its bitmask, bit q for state q.
 type Event struct {
 	Group      int   // 0-based fast-forward group (0 ↔ G1 ... 4 ↔ G5)
 	Op         uint8 // fast-forward function, a fastforward.Op code
 	Start, End int   // half-open byte range the movement covered
-	State      int   // automaton state (or NFA state-set bits)
+	State      int   // automaton state, or state-set bits
 }
 
 // DefaultTraceLimit is the event cap used when NewTrace is given a

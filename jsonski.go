@@ -14,14 +14,16 @@
 // with optional stride, backward with negative stride), [*] and .*
 // (wildcards), [?expr] (filters: existence tests, comparisons, &&/||/!),
 // [a,b,...] (unions), and ..name / ..* (descendant — the paper's stated
-// future work). Descendant paths are evaluated by a set-of-states NFA
-// engine: as the paper observes (§5.1) a descendant's level is unknown,
-// so type-based fast-forwarding does not apply below it; dead subtrees
-// are still skipped bit-parallel. Filter steps stay on the streaming
-// engines: each candidate value is captured with one fast-forward
-// movement and decided by a span probe. Selectors whose RFC semantics
-// need the container length or per-selector output order (unions,
-// negative indexes/bounds, backward slices) run segmented — a streamable
+// future work). One engine streams every path: it carries a set of
+// automaton states down the descent, which holds one state on a linear
+// path and more below a descendant step. As the paper observes (§5.1) a
+// descendant's level is unknown, so type-based fast-forwarding does not
+// apply below it; dead subtrees are still skipped bit-parallel. Filter
+// steps stay on the streaming engine: each candidate value is captured
+// with one fast-forward movement and decided by a span probe. Selectors
+// whose RFC semantics need the container length or per-selector output
+// order (unions, negative indexes/bounds, backward slices), a second
+// descendant step, and steps past the 62nd run segmented — a streamable
 // prefix fast-forwards as usual and only the selected spans are handed
 // to a reference evaluator for the deferred tail.
 //
@@ -143,10 +145,10 @@ func (s *Stats) merge(o Stats) {
 	}
 }
 
-// runner is the common face of the single-query engines: the DFA engine
-// with full fast-forwarding for linear paths, the NFA engine for paths
-// containing the descendant operator, and the segmented engine for
-// deferred selectors. A whole index is the window [0, Len).
+// runner is the common face of the single-query engines: the streaming
+// engine for paths it runs whole, linear or with a descendant step, and
+// the segmented engine for paths with a split point. A whole index is
+// the window [0, Len).
 type runner interface {
 	Run(data []byte, emit core.EmitFunc) (core.Stats, error)
 	RunIndexedWindow(ix *stream.Index, lo, hi int, emit core.EmitFunc) (core.Stats, error)
@@ -181,28 +183,12 @@ func Compile(expr string) (*Query, error) {
 		return nil, err
 	}
 	q := &Query{path: p}
-	switch {
-	case p.SplitPoint() >= 0:
+	if p.SplitPoint() >= 0 {
 		// Deferred selectors (unions, negative indexes/bounds, backward
-		// slices, descendant+filter mixes): streamable prefix through the
-		// DFA/NFA engine, deferred tail through the reference evaluator.
-		if _, err := core.NewSegmentedEngine(p); err != nil {
-			return nil, err
-		}
-		q.pool.New = func() any {
-			e, _ := core.NewSegmentedEngine(p)
-			return runner(e)
-		}
-		return q, nil
-	case p.HasDescendant():
-		// Validate once so pool.New cannot fail later.
-		if _, err := core.NewNFAEngine(p); err != nil {
-			return nil, err
-		}
-		q.pool.New = func() any {
-			e, _ := core.NewNFAEngine(p)
-			return runner(e)
-		}
+		// slices, a second descendant, descendant+filter mixes, overlong
+		// paths): streamable prefix through the engine, deferred tail
+		// through the reference evaluator.
+		q.pool.New = func() any { return runner(core.NewSegmentedEngine(p)) }
 		return q, nil
 	}
 	aut := automaton.New(p)

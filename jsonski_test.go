@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"jsonski/internal/baseline/domparser"
 )
 
 func TestCompileErrors(t *testing.T) {
@@ -222,7 +224,7 @@ func TestDescendantQueries(t *testing.T) {
 }
 
 func TestDescendantAllowedInSets(t *testing.T) {
-	// Descendant queries route to a sidecar NFA engine within the set.
+	// Descendant queries route to a sidecar engine within the set.
 	qs, err := CompileSet("$.ok", "$..nope")
 	if err != nil {
 		t.Fatalf("descendant in set should compile: %v", err)
@@ -233,10 +235,63 @@ func TestDescendantAllowedInSets(t *testing.T) {
 	}
 }
 
-func TestCompileRejectsOverlongDescendantPath(t *testing.T) {
-	expr := "$..a" + strings.Repeat(".b", 70)
-	if _, err := Compile(expr); err == nil {
-		t.Fatal("expected length error")
+// TestCompileOverlongPathsAnswerLikeDOM checks paths longer than the
+// engine's state set: the engine streams the first 62 steps and the DOM
+// evaluates the rest, and a filter chain past the bound takes the
+// full-parse plan. Each answers like the DOM reference.
+func TestCompileOverlongPathsAnswerLikeDOM(t *testing.T) {
+	nest := func(name string, n int) string {
+		return strings.Repeat(`{"`+name+`":`, n) + "1" + strings.Repeat("}", n)
+	}
+	for _, tc := range []struct{ expr, doc string }{
+		{"$" + strings.Repeat(".a", 70), nest("a", 70)},
+		{"$..b" + strings.Repeat(".b", 69), `{"x":` + nest("b", 70) + `}`},
+		{"$[?@" + strings.Repeat(".a", 70) + " == 1]", "[" + nest("a", 70) + `,{"a":1}]`},
+	} {
+		want, err := domparser.Compile(tc.expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantVals []string
+		if _, err := want.Run([]byte(tc.doc), func(s, e int) { wantVals = append(wantVals, tc.doc[s:e]) }); err != nil {
+			t.Fatal(err)
+		}
+		q, err := Compile(tc.expr)
+		if err != nil {
+			t.Fatalf("%.20s…: %v", tc.expr, err)
+		}
+		got, err := q.All([]byte(tc.doc))
+		if err != nil {
+			t.Fatalf("%.20s…: %v", tc.expr, err)
+		}
+		if len(wantVals) != 1 || fmt.Sprintf("%s", got) != fmt.Sprint(wantVals) {
+			t.Errorf("%.20s…: got %s, DOM reference %s", tc.expr, got, wantVals)
+		}
+	}
+}
+
+// TestDescendantDuplicateNamesFollowFirst pins what a named child step
+// before a descendant does with a repeated member name: G4 leaves the
+// object after the first match, so `$.a..b` answers from the first "a"
+// only, as `$.a.b` and the DOM reference do.
+func TestDescendantDuplicateNamesFollowFirst(t *testing.T) {
+	doc := []byte(`{"a":{"b":1},"a":{"b":2}}`)
+	for _, expr := range []string{"$.a..b", "$.a.b"} {
+		got, err := MustCompile(expr).All(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := domparser.Compile(expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		if _, err := ref.Run(doc, func(s, e int) { want = append(want, string(doc[s:e])) }); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprintf("%s", got) != "[1]" || fmt.Sprint(want) != "[1]" {
+			t.Errorf("%s: got %s, DOM reference %s; want [1]", expr, got, want)
+		}
 	}
 }
 

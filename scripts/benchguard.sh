@@ -48,6 +48,12 @@
 #   BenchmarkQuerySet/shared-pass
 #                               — a QuerySet's shared pass over one
 #                                 large record
+#   BenchmarkDescendant/descendant-nfa
+#                               — a descendant path ($..tx over one
+#                                 large GMD record): the engine's
+#                                 state-set side, which takes no G1, G4
+#                                 or G5. Every other guarded path keeps
+#                                 one state live
 #
 # A benchmark absent from the base file is skipped, not failed: it did
 # not exist at the base commit. So is the allocation gate of a benchmark
@@ -103,7 +109,8 @@ for bench in BenchmarkRunLarge BenchmarkRunLargeSinkStream \
              BenchmarkRunFilterSkip BenchmarkRunFilterFullParse \
              BenchmarkOnDemandGet \
              BenchmarkRunRecordsStream/query BenchmarkRunRecordsStream/set \
-             BenchmarkQuerySet/shared-pass; do
+             BenchmarkQuerySet/shared-pass \
+             BenchmarkDescendant/descendant-nfa; do
     head_mean=$(mean "$head_file" "$bench")
     if [ -z "$head_mean" ]; then
         echo "$bench: no samples in $head_file" >&2
