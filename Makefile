@@ -49,17 +49,19 @@ lint-one:
 # fuzz-smoke mirrors the CI fuzz-smoke job: a short budget per native
 # fuzz target, enough to replay the seed corpus and catch shallow
 # regressions locally. Override with FUZZTIME=60s for longer runs.
+# -fuzzminimizetime caps minimizing each new-coverage input, which
+# otherwise spends most of a short budget with no execs.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
-	go test -run '^$$' -fuzz '^FuzzValidate$$' -fuzztime $(FUZZTIME) .
-	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) .
-	go test -run '^$$' -fuzz '^FuzzCompileJSONPath$$' -fuzztime $(FUZZTIME) .
-	go test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) .
-	go test -run '^$$' -fuzz '^FuzzOnDemandDifferential$$' -fuzztime $(FUZZTIME) .
-	go test -run '^$$' -fuzz '^FuzzStoreRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/store
-	go test -run '^$$' -fuzz '^FuzzNDJSONFraming$$' -fuzztime $(FUZZTIME) ./internal/ndjson
-	go test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime $(FUZZTIME) ./internal/bits
+	go test -run '^$$' -fuzz '^FuzzValidate$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
+	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
+	go test -run '^$$' -fuzz '^FuzzCompileJSONPath$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
+	go test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
+	go test -run '^$$' -fuzz '^FuzzOnDemandDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
+	go test -run '^$$' -fuzz '^FuzzStoreRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/store
+	go test -run '^$$' -fuzz '^FuzzNDJSONFraming$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/ndjson
+	go test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/bits
 
 # bench-smoke mirrors the CI bench-smoke job: the perf ledger under
 # bench/ is its own module outside go.work, so it is vetted and tested

@@ -13,10 +13,12 @@ import (
 	"testing"
 
 	"jsonski"
+	"jsonski/internal/automaton"
 	"jsonski/internal/baseline/charstream"
 	"jsonski/internal/baseline/domparser"
 	"jsonski/internal/baseline/index"
 	"jsonski/internal/baseline/tape"
+	"jsonski/internal/core"
 	"jsonski/internal/gen"
 	"jsonski/internal/jsonpath"
 	"jsonski/internal/queries"
@@ -860,6 +862,65 @@ func TestRFC9535Compliance(t *testing.T) {
 	for name := range rfc9535Skips {
 		if !seen[name] {
 			t.Errorf("rfc9535Skips entry %q matches no case", name)
+		}
+	}
+}
+
+// TestDuplicateNamesAnswerTheFirst pins one answer for an object that
+// repeats a member name: the first member's, as the DOM reference
+// keeps it. A named-child state leaves the object's live set once it
+// matches, so the engine, its G4 and full-parse ablations (which scan on
+// past the match) and a set's shared pass all agree.
+func TestDuplicateNamesAnswerTheFirst(t *testing.T) {
+	cases := []struct{ query, data, want string }{
+		{"$.a", `{"a":1,"a":2}`, "1"},
+		{"$.a.b", `{"a":{"b":1,"b":2},"a":{"b":3}}`, "1"},
+		{"$[*].a", `[{"a":1,"a":2}]`, "1"},
+		{"$..a.b", `{"a":{"b":1,"b":2}}`, "1"},
+	}
+	for _, tc := range cases {
+		data := []byte(tc.data)
+		answers := map[string]func() ([]string, error){
+			"domparser": func() ([]string, error) {
+				ev, err := domparser.Compile(tc.query)
+				if err != nil {
+					return nil, err
+				}
+				var out []string
+				_, err = ev.Run(data, func(s, e int) { out = append(out, string(data[s:e])) })
+				return out, err
+			},
+			"set": func() ([]string, error) {
+				var out []string
+				_, err := jsonski.MustCompileSet(tc.query, "$.x").Run(data, func(m jsonski.SetMatch) {
+					if m.Query == 0 {
+						out = append(out, string(m.Value))
+					}
+				})
+				return out, err
+			},
+		}
+		for name, ablate := range map[string]func(*core.Engine){
+			"engine":     func(*core.Engine) {},
+			"G4 off":     func(e *core.Engine) { e.DisabledGroups = 1 << 3 },
+			"full parse": func(e *core.Engine) { e.DisableFastForward = true },
+		} {
+			answers[name] = func() ([]string, error) {
+				e := core.NewEngine(automaton.New(jsonpath.MustParse(tc.query)))
+				ablate(e)
+				var out []string
+				_, err := e.Run(data, func(_, s, en int) { out = append(out, string(data[s:en])) })
+				return out, err
+			}
+		}
+		for name, run := range answers {
+			got, err := run()
+			if err != nil {
+				t.Fatalf("%s %s over %s: %v", name, tc.query, tc.data, err)
+			}
+			if strings.Join(got, " ") != tc.want {
+				t.Errorf("%s %s over %s = %q, want %s", name, tc.query, tc.data, got, tc.want)
+			}
 		}
 	}
 }

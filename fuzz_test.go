@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -218,6 +219,9 @@ func FuzzDifferential(f *testing.F) {
 	f.Add(append([]byte{22}, `[[1,2],{"a":[3]}]`...))
 	f.Add(append([]byte{23}, `[{"b":1},{"c":{"b":[2,{"b":3}]}}]`...))
 	f.Add(append([]byte{24}, `{"a":{"a":{"b":1}}}`...))
+	// Fillers of the two-group set answer from its first group, the pool
+	// query from its second.
+	f.Add(append([]byte{2}, `{"f0":0,"a":{"b":1},"f30":[2],"a2":3}`...))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 2 {
 			return
@@ -312,51 +316,88 @@ func FuzzDifferential(f *testing.F) {
 		compareMatches(t, "buffered sink vs callback", expr, data, sunk, lazy)
 
 		// The pool query in a set beside a shared member: its filter,
-		// union and deferred forms ride the sidecar path. Every set entry
-		// point must give each member its own single-query matches. The
-		// reader sees the document as one line: in valid JSON a raw
-		// newline is always whitespace, so turning it into a space keeps
-		// every value, up to its own whitespace.
-		members := []string{expr, "$.a"}
-		solo := [][]string{lazy, nil}
+		// union and deferred forms ride the sidecar path. Then the pool
+		// query behind the fillers, whose 62 states fill the set's first
+		// group, so a sharable pool query with a step lands in the
+		// second. Every set entry point must give each member its own
+		// single-query matches. The reader sees the document as one
+		// line: in valid JSON a raw newline is always whitespace, so
+		// turning it into a space keeps every value, up to its own
+		// whitespace.
+		var solo []string
 		if _, err := jsonski.MustCompile("$.a").Run(data, func(m jsonski.Match) {
-			solo[1] = append(solo[1], string(bytes.TrimSpace(m.Value)))
+			solo = append(solo, string(bytes.TrimSpace(m.Value)))
 		}); err != nil {
 			t.Fatalf("engine $.a over %q: %v", data, err)
 		}
-		qs := jsonski.MustCompileSet(members...)
+		behind := make([][]string, len(fuzzFillers)+1)
+		for i, fq := range fuzzFillers {
+			if _, err := fq.Run(data, func(m jsonski.Match) {
+				behind[i] = append(behind[i], string(bytes.TrimSpace(m.Value)))
+			}); err != nil {
+				t.Fatalf("engine %s over %q: %v", fq, data, err)
+			}
+		}
+		behind[len(fuzzFillers)] = lazy
 		line := bytes.ReplaceAll(data, []byte("\n"), []byte(" "))
 		ix = jsonski.BuildIndex(data)
 		defer ix.Release()
-		for _, ep := range []struct {
-			name string
-			run  func(fn func(jsonski.SetMatch)) (jsonski.Stats, error)
+		for _, set := range []struct {
+			members []string
+			solo    [][]string
 		}{
-			{"Run", func(fn func(jsonski.SetMatch)) (jsonski.Stats, error) { return qs.Run(data, fn) }},
-			{"RunIndexed", func(fn func(jsonski.SetMatch)) (jsonski.Stats, error) { return qs.RunIndexed(ix, fn) }},
-			{"RunRecords", func(fn func(jsonski.SetMatch)) (jsonski.Stats, error) {
-				return qs.RunRecords([][]byte{data}, fn)
-			}},
-			{"RunReaderContext", func(fn func(jsonski.SetMatch)) (jsonski.Stats, error) {
-				return qs.RunReaderContext(context.Background(), bytes.NewReader(line), fn)
-			}},
+			{[]string{expr, "$.a"}, [][]string{lazy, solo}},
+			{append(fuzzFillerExprs(), expr), behind},
 		} {
-			got := make([][]string, len(members))
-			if _, err := ep.run(func(m jsonski.SetMatch) {
-				got[m.Query] = append(got[m.Query], string(bytes.TrimSpace(m.Value)))
-			}); err != nil {
-				t.Fatalf("QuerySet.%s %q over %q: %v", ep.name, members, data, err)
-			}
-			for qi, member := range members {
-				want := solo[qi]
-				if ep.name == "RunReaderContext" {
-					want = oneLine(want)
-					got[qi] = oneLine(got[qi])
+			qs := jsonski.MustCompileSet(set.members...)
+			for _, ep := range []struct {
+				name string
+				run  func(fn func(jsonski.SetMatch)) (jsonski.Stats, error)
+			}{
+				{"Run", func(fn func(jsonski.SetMatch)) (jsonski.Stats, error) { return qs.Run(data, fn) }},
+				{"RunIndexed", func(fn func(jsonski.SetMatch)) (jsonski.Stats, error) { return qs.RunIndexed(ix, fn) }},
+				{"RunRecords", func(fn func(jsonski.SetMatch)) (jsonski.Stats, error) {
+					return qs.RunRecords([][]byte{data}, fn)
+				}},
+				{"RunReaderContext", func(fn func(jsonski.SetMatch)) (jsonski.Stats, error) {
+					return qs.RunReaderContext(context.Background(), bytes.NewReader(line), fn)
+				}},
+			} {
+				got := make([][]string, len(set.members))
+				if _, err := ep.run(func(m jsonski.SetMatch) {
+					got[m.Query] = append(got[m.Query], string(bytes.TrimSpace(m.Value)))
+				}); err != nil {
+					t.Fatalf("QuerySet.%s %q over %q: %v", ep.name, set.members, data, err)
 				}
-				compareMatches(t, "QuerySet."+ep.name+" vs single-query Run", member, data, got[qi], want)
+				for qi, member := range set.members {
+					want := set.solo[qi]
+					if ep.name == "RunReaderContext" {
+						want = oneLine(want)
+						got[qi] = oneLine(got[qi])
+					}
+					compareMatches(t, "QuerySet."+ep.name+" vs single-query Run", member, data, got[qi], want)
+				}
 			}
 		}
 	})
+}
+
+// fuzzFillers are the 31 shared members ($.f0 … $.f30) that FuzzDifferential
+// puts before the pool query in its second set.
+var fuzzFillers = func() []*jsonski.Query {
+	qs := make([]*jsonski.Query, 31)
+	for i := range qs {
+		qs[i] = jsonski.MustCompile(fmt.Sprintf("$.f%d", i))
+	}
+	return qs
+}()
+
+func fuzzFillerExprs() []string {
+	exprs := make([]string, len(fuzzFillers))
+	for i, q := range fuzzFillers {
+		exprs[i] = q.String()
+	}
+	return exprs
 }
 
 // oneLine turns the raw newlines of each value into spaces, as the

@@ -2,9 +2,11 @@
 // (Figure 5): a pushdown automaton whose states are the number of path
 // steps matched so far. In the paper's recursive-descent streaming model
 // the automaton's stack *is* the parser's call stack, so this package is
-// deliberately stackless: the engine threads the integer state through its
+// deliberately stackless: the engine threads its states through its
 // recursion, and the [Ary-S]/[Ary-E]/[Val] push/pop rules fall out of
-// ordinary function call and return.
+// ordinary function call and return. Several paths compile into one
+// automaton whose states are numbered in one space, so the engine can
+// carry the live states of all of them in one set.
 package automaton
 
 import (
@@ -41,30 +43,72 @@ func (s Status) String() string {
 	}
 }
 
-// Automaton is the compiled matching logic for one path query.
-// It is immutable and safe for concurrent use.
+// Automaton is the compiled matching logic for one or more path
+// queries. Each path contributes one state per step and then its accept
+// state, and the paths' states are numbered in one space, in path
+// order: path 0's steps, its accept state, path 1's steps, and so on. A
+// set of states can so hold the live states of several paths at once:
+// it is the product of the paths' automata, without prefix merging.
+// An Automaton is immutable and safe for concurrent use.
 type Automaton struct {
-	steps []jsonpath.Step
-	root  jsonpath.ValueType
+	rows   []row
+	starts []int                // first state of each path
+	roots  []jsonpath.ValueType // inferred record type of each path
 }
 
-// New compiles the automaton for a parsed path.
-func New(p *jsonpath.Path) *Automaton {
-	return &Automaton{steps: p.Steps, root: p.RootType()}
+// row is one state: a path step, or the accept state of its path.
+type row struct {
+	step   jsonpath.Step // zero for an accept state
+	path   int
+	accept bool
 }
 
-// StepCount returns the number of path steps (the accept state index).
-func (a *Automaton) StepCount() int { return len(a.steps) }
+// MaxStates bounds the states of an automaton the streaming engine
+// runs: it holds a set of states in one uint64, and the longest
+// streamable path (jsonpath.MaxStreamSteps) with its accept state fills
+// 63 bits.
+const MaxStates = jsonpath.MaxStreamSteps + 1
 
-// RootType returns the inferred type of the record root.
-func (a *Automaton) RootType() jsonpath.ValueType { return a.root }
+// New compiles the automaton for one or more parsed paths.
+func New(paths ...*jsonpath.Path) *Automaton {
+	a := &Automaton{}
+	for i, p := range paths {
+		a.starts = append(a.starts, len(a.rows))
+		a.roots = append(a.roots, p.RootType())
+		for _, st := range p.Steps {
+			a.rows = append(a.rows, row{step: st, path: i})
+		}
+		a.rows = append(a.rows, row{path: i, accept: true})
+	}
+	return a
+}
 
-// Step returns the i-th path step. The caller must keep i < StepCount.
-func (a *Automaton) Step(i int) jsonpath.Step { return a.steps[i] }
+// States returns the number of states, accept states included.
+func (a *Automaton) States() int { return len(a.rows) }
+
+// Paths returns the number of paths.
+func (a *Automaton) Paths() int { return len(a.starts) }
+
+// Start returns the start state of path i. A bare `$` path starts in
+// its accept state.
+func (a *Automaton) Start(i int) int { return a.starts[i] }
+
+// RootType returns the inferred type of the record root for path i.
+func (a *Automaton) RootType(i int) jsonpath.ValueType { return a.roots[i] }
+
+// PathOf returns the index of the path state q belongs to.
+func (a *Automaton) PathOf(q int) int { return a.rows[q].path }
+
+// IsAccept reports whether q is the accept state of its path.
+func (a *Automaton) IsAccept(q int) bool { return a.rows[q].accept }
+
+// Step returns the path step of state q, which must not be an accept
+// state.
+func (a *Automaton) Step(q int) jsonpath.Step { return a.rows[q].step }
 
 // statusFor converts a successor state into a Status.
 func (a *Automaton) statusFor(next int) Status {
-	if next == len(a.steps) {
+	if a.rows[next].accept {
 		return Accept
 	}
 	return Matched
@@ -74,40 +118,35 @@ func (a *Automaton) statusFor(next int) Status {
 // its level is unknown (§5.1), so the state stays live in every value
 // below it, beside whatever successor its inner selector reaches.
 func (a *Automaton) IsDescendant(q int) bool {
-	return q < len(a.steps) && a.steps[q].Kind == jsonpath.Descendant
+	r := &a.rows[q]
+	return !r.accept && r.step.Kind == jsonpath.Descendant
 }
 
 // IsObjectState reports whether state q can consume attribute names
-// (the pending step selects object members). When q is the accept state
-// it returns false.
+// (the pending step selects object members). An accept state cannot.
 func (a *Automaton) IsObjectState(q int) bool {
-	if q >= len(a.steps) {
-		return false
-	}
-	st := &a.steps[q]
-	return st.Kind == jsonpath.Descendant || st.SelectsMembers()
+	r := &a.rows[q]
+	return !r.accept && (r.step.Kind == jsonpath.Descendant || r.step.SelectsMembers())
 }
 
 // IsArrayState reports whether state q can consume array element indexes.
 func (a *Automaton) IsArrayState(q int) bool {
-	if q >= len(a.steps) {
-		return false
-	}
-	st := &a.steps[q]
-	return st.Kind == jsonpath.Descendant || st.SelectsElements()
+	r := &a.rows[q]
+	return !r.accept && (r.step.Kind == jsonpath.Descendant || r.step.SelectsElements())
 }
 
 // IsNamedChild reports whether state q is a named child step: it
 // selects at most one attribute per object, so after a match the rest
 // of the object is irrelevant (G4).
 func (a *Automaton) IsNamedChild(q int) bool {
-	return q < len(a.steps) && a.steps[q].Kind == jsonpath.Child
+	r := &a.rows[q]
+	return !r.accept && r.step.Kind == jsonpath.Child
 }
 
 // selector returns the selector state q applies to a member: the step
 // itself, or a descendant's inner selector.
 func (a *Automaton) selector(q int) *jsonpath.Step {
-	st := &a.steps[q]
+	st := &a.rows[q].step
 	if st.Kind == jsonpath.Descendant {
 		return &st.Sel[0]
 	}
@@ -122,7 +161,7 @@ func (a *Automaton) selector(q int) *jsonpath.Step {
 // after consuming the span. A descendant state matches its inner
 // selector; the caller keeps the state itself live (IsDescendant).
 func (a *Automaton) MatchKey(q int, name []byte) (int, Status) {
-	if q >= len(a.steps) {
+	if a.rows[q].accept {
 		return q, Unmatched
 	}
 	st := a.selector(q)
@@ -143,7 +182,7 @@ func (a *Automaton) MatchKey(q int, name []byte) (int, Status) {
 // at index idx. It returns the successor state and status (Candidate for
 // filter states, and a descendant's inner selector, as in MatchKey).
 func (a *Automaton) MatchIndex(q int, idx int) (int, Status) {
-	if q >= len(a.steps) {
+	if a.rows[q].accept {
 		return q, Unmatched
 	}
 	st := a.selector(q)
@@ -177,11 +216,11 @@ func IndexMatches(st *jsonpath.Step, idx int) bool {
 // descendants, and non-array states). Stride gaps inside the range are
 // not represented here; MatchIndex rejects them element-wise.
 func (a *Automaton) Range(q int) (lo, hi int, constrained bool) {
-	if q >= len(a.steps) {
+	r := &a.rows[q]
+	if r.accept {
 		return 0, 0, false
 	}
-	st := &a.steps[q]
-	switch st.Kind {
+	switch st := &r.step; st.Kind {
 	case jsonpath.Index, jsonpath.Slice:
 		return st.Lo, st.Hi, true
 	}
@@ -190,12 +229,9 @@ func (a *Automaton) Range(q int) (lo, hi int, constrained bool) {
 
 // TypeExpected returns the inferred type of the values that can make
 // progress from state q — the fast-forward type filter of §3.2 (G1).
-// At the accept state or the last step it returns Unknown.
+// At an accept state or a path's last step it returns Unknown.
 func (a *Automaton) TypeExpected(q int) jsonpath.ValueType {
-	if q >= len(a.steps) {
-		return jsonpath.Unknown
-	}
-	return a.steps[q].Expect
+	return a.rows[q].step.Expect
 }
 
 // KeyEqual compares a raw JSON attribute name (as read from the input,

@@ -170,14 +170,46 @@ func TestDescendantState(t *testing.T) {
 func TestRootTypeAndStepCount(t *testing.T) {
 	a := compile(t, "$[*].text")
 	// A leading wildcard admits object and array roots alike.
-	if a.RootType() != jsonpath.Container {
-		t.Errorf("RootType = %v", a.RootType())
+	if a.RootType(0) != jsonpath.Container {
+		t.Errorf("RootType = %v", a.RootType(0))
 	}
-	if a.StepCount() != 2 {
-		t.Errorf("StepCount = %d", a.StepCount())
+	// Two steps, then the accept state.
+	if a.States() != 3 || !a.IsAccept(2) || a.IsAccept(1) {
+		t.Errorf("States = %d, accept at 2: %v", a.States(), a.IsAccept(2))
 	}
 	if a.Step(1).Name != "text" {
 		t.Errorf("Step(1) = %+v", a.Step(1))
+	}
+}
+
+// TestPathsShareOneStateSpace checks the numbering of several paths:
+// each path's steps, then its accept state, in path order.
+func TestPathsShareOneStateSpace(t *testing.T) {
+	a := New(jsonpath.MustParse("$.a.b"), jsonpath.MustParse("$"), jsonpath.MustParse("$[1]"))
+	if a.Paths() != 3 || a.States() != 6 {
+		t.Fatalf("Paths = %d, States = %d", a.Paths(), a.States())
+	}
+	for i, want := range []int{0, 3, 4} {
+		if a.Start(i) != want {
+			t.Errorf("Start(%d) = %d, want %d", i, a.Start(i), want)
+		}
+	}
+	for q, want := range []int{0, 0, 0, 1, 2, 2} {
+		if a.PathOf(q) != want {
+			t.Errorf("PathOf(%d) = %d, want %d", q, a.PathOf(q), want)
+		}
+	}
+	if !a.IsAccept(3) || a.RootType(1) != jsonpath.Unknown || a.RootType(2) != jsonpath.Array {
+		t.Error("bare $ should start in its accept state and admit any root")
+	}
+	if q, st := a.MatchKey(1, []byte("b")); q != 2 || st != Accept {
+		t.Errorf("MatchKey(1, b) = %d,%v", q, st)
+	}
+	if q, st := a.MatchIndex(4, 1); q != 5 || st != Accept {
+		t.Errorf("MatchIndex(4, 1) = %d,%v", q, st)
+	}
+	if _, st := a.MatchIndex(2, 1); st != Unmatched || a.IsObjectState(2) || a.IsNamedChild(2) {
+		t.Error("an accept state between paths should match and classify as nothing")
 	}
 }
 

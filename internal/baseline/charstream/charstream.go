@@ -25,11 +25,20 @@ func New(p *jsonpath.Path) *Evaluator {
 	return &Evaluator{aut: automaton.New(p)}
 }
 
-// Compile parses and compiles in one step.
+// Compile parses and compiles in one step. It rejects the steps this
+// one-pass automaton cannot evaluate: descendants, which need a state
+// that stays live at every level, and the deferred selectors (unions,
+// negative indexes or bounds, backward slices), which need the container
+// length or per-selector output order.
 func Compile(expr string) (*Evaluator, error) {
 	p, err := jsonpath.Parse(expr)
 	if err != nil {
 		return nil, err
+	}
+	for i := range p.Steps {
+		if st := &p.Steps[i]; st.Kind == jsonpath.Descendant || !st.Streamable() {
+			return nil, fmt.Errorf("charstream: step %d (%s) of %q cannot be evaluated in one pass", i, st.Kind, expr)
+		}
 	}
 	return New(p), nil
 }
@@ -70,7 +79,7 @@ func (sc *scanner) run() error {
 	if sc.pos >= len(sc.data) {
 		return fmt.Errorf("charstream: empty input")
 	}
-	if sc.aut.StepCount() == 0 {
+	if sc.aut.IsAccept(0) {
 		start := sc.pos
 		if err := sc.skipValue(); err != nil {
 			return err
@@ -205,9 +214,9 @@ func (sc *scanner) probeCandidate(child, start, end int) {
 		return // malformed candidate selects nothing
 	}
 	st := sc.aut.Step(child - 1)
-	suffix := make([]jsonpath.Step, 0, sc.aut.StepCount()-child)
+	var suffix []jsonpath.Step
 	needAbs := st.Filter.HasAbsolute()
-	for i := child; i < sc.aut.StepCount(); i++ {
+	for i := child; !sc.aut.IsAccept(i); i++ {
 		s := sc.aut.Step(i)
 		suffix = append(suffix, s)
 		if s.Kind == jsonpath.Filter && s.Filter.HasAbsolute() {

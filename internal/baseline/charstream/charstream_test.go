@@ -59,6 +59,27 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsWhatItCannotEvaluate: descendants and the deferred
+// selectors need more than one state per level or the container length,
+// so Compile refuses them rather than answer wrongly.
+func TestCompileRejectsWhatItCannotEvaluate(t *testing.T) {
+	for _, q := range []string{"$..a", "$['a','b']", "$[-1]", "$.b[-1:]", "$.b[::-1]", "$.b[0]..a"} {
+		if _, err := Compile(q); err == nil {
+			t.Errorf("Compile(%q) accepted a path it cannot evaluate", q)
+		}
+	}
+	data := []byte(`{"x":{"a":1},"a":2,"b":[{"a":3}]}`)
+	for q, want := range map[string]int64{"$.a": 1, "$.b[0].a": 1, "$.b[*]": 1, "$.b[?@.a]": 1, "$.b[0:1]": 1} {
+		ev, err := Compile(q)
+		if err != nil {
+			t.Fatalf("Compile(%q): %v", q, err)
+		}
+		if n, err := ev.Count(data); err != nil || n != want {
+			t.Errorf("%s: %d matches, err %v; want %d", q, n, err, want)
+		}
+	}
+}
+
 func genArray(n int) string {
 	var sb strings.Builder
 	sb.WriteByte('[')

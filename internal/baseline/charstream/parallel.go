@@ -100,7 +100,7 @@ func sepScan(data []byte, lo, hi int, inStr bool, depth, arrayDepth int) (commas
 // ParallelRun evaluates the query over one large record using `workers`
 // goroutines. emit may be nil; it may be called concurrently.
 func (ev *Evaluator) ParallelRun(data []byte, workers int, emit func(start, end int)) (int64, error) {
-	nSteps := ev.aut.StepCount()
+	nSteps := ev.aut.States() - 1 // one path: its steps, then accept
 	if workers <= 1 || nSteps == 0 {
 		return ev.Run(data, emit)
 	}
@@ -213,7 +213,7 @@ func (ev *Evaluator) runValue(data []byte, emit func(start, end int)) (int64, er
 	if sc.pos >= len(data) {
 		return 0, nil
 	}
-	if ev.aut.StepCount() == 0 {
+	if ev.aut.IsAccept(0) {
 		start := sc.pos
 		if err := sc.skipValue(); err != nil {
 			return 0, err
@@ -235,7 +235,7 @@ func (ev *Evaluator) runValue(data []byte, emit func(start, end int)) (int64, er
 
 // pathSteps exposes the automaton's steps for slicing the remaining path.
 func pathSteps(ev *Evaluator) []jsonpath.Step {
-	steps := make([]jsonpath.Step, ev.aut.StepCount())
+	steps := make([]jsonpath.Step, ev.aut.States()-1)
 	for i := range steps {
 		steps[i] = ev.aut.Step(i)
 	}

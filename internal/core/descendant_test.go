@@ -20,7 +20,7 @@ func runEngine(t *testing.T, query, data string) []string {
 		t.Fatal(err)
 	}
 	var got []string
-	if _, err := NewEngine(automaton.New(p)).Run([]byte(data), func(s, en int) {
+	if _, err := NewEngine(automaton.New(p)).Run([]byte(data), func(_, s, en int) {
 		got = append(got, data[s:en])
 	}); err != nil {
 		t.Fatalf("%q: %v", query, err)

@@ -29,7 +29,7 @@ func runQuery(t *testing.T, query, data string, noFF bool) ([]string, Stats) {
 	e := NewEngine(automaton.New(p))
 	e.DisableFastForward = noFF
 	var got []string
-	st, err := e.Run([]byte(data), func(s, en int) {
+	st, err := e.Run([]byte(data), func(_, s, en int) {
 		got = append(got, data[s:en])
 	})
 	if err != nil {
@@ -237,7 +237,7 @@ func TestEngineReuse(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		data := fmt.Sprintf(`{"a": %d}`, i)
 		var got string
-		st, err := e.Run([]byte(data), func(s, en int) { got = data[s:en] })
+		st, err := e.Run([]byte(data), func(_, s, en int) { got = data[s:en] })
 		if err != nil || got != fmt.Sprint(i) || st.Matches != 1 {
 			t.Fatalf("iter %d: got %q st %+v err %v", i, got, st, err)
 		}
@@ -442,7 +442,7 @@ func TestGroupAblationsPreserveResults(t *testing.T) {
 			e := NewEngine(automaton.New(p))
 			e.DisabledGroups = disabled
 			var got []string
-			if _, err := e.Run(enc, func(s, en int) { got = append(got, string(enc[s:en])) }); err != nil {
+			if _, err := e.Run(enc, func(_, s, en int) { got = append(got, string(enc[s:en])) }); err != nil {
 				t.Fatalf("trial %d %s disabled=%b: %v", trial, q, disabled, err)
 			}
 			if !reflect.DeepEqual(got, want) {

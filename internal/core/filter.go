@@ -67,20 +67,20 @@ type filterRuntime struct {
 // the automaton, or returns nil when there are none.
 func buildFilterRuntimes(a *automaton.Automaton) []*filterRuntime {
 	var frs []*filterRuntime
-	for q := 0; q < a.StepCount(); q++ {
-		st := a.Step(q)
-		if st.Kind != jsonpath.Filter {
+	for q := 0; q < a.States(); q++ {
+		if a.IsAccept(q) || a.Step(q).Kind != jsonpath.Filter {
 			continue
 		}
 		if frs == nil {
-			frs = make([]*filterRuntime, a.StepCount())
+			frs = make([]*filterRuntime, a.States())
 		}
+		st := a.Step(q)
 		fr := &filterRuntime{expr: st.Filter, hasAbs: st.Filter.HasAbsolute()}
 		_, fr.eligible = st.Filter.SingularChildRefs()
 		if fr.eligible {
 			fr.compileChains()
 		}
-		if q+1 < a.StepCount() {
+		if !a.IsAccept(q + 1) {
 			steps := suffixSteps(a, q+1)
 			fr.subAut = automaton.New(&jsonpath.Path{Steps: steps})
 			fr.subHasAbs = suffixHasAbsolute(steps)
@@ -90,11 +90,11 @@ func buildFilterRuntimes(a *automaton.Automaton) []*filterRuntime {
 	return frs
 }
 
-// suffixSteps copies the automaton's steps from q on.
+// suffixSteps copies the steps of state q's path from q on.
 func suffixSteps(a *automaton.Automaton, q int) []jsonpath.Step {
-	steps := make([]jsonpath.Step, 0, a.StepCount()-q)
-	for i := q; i < a.StepCount(); i++ {
-		steps = append(steps, a.Step(i))
+	var steps []jsonpath.Step
+	for ; !a.IsAccept(q); q++ {
+		steps = append(steps, a.Step(q))
 	}
 	return steps
 }
@@ -186,8 +186,8 @@ func (e *Engine) resolveProbe(child stateSet, vt jsonpath.ValueType, start, end 
 	if !selected {
 		return nil
 	}
-	if next == e.aut.StepCount() {
-		e.emitSpan(start, end)
+	if e.aut.IsAccept(next) {
+		e.emitMatch(child, start, end)
 		return nil
 	}
 	sub := fr.sub
@@ -200,7 +200,8 @@ func (e *Engine) resolveProbe(child stateSet, vt jsonpath.ValueType, start, end 
 	if fr.subHasAbs {
 		sub.absDoc = e.recordDoc()
 	}
-	st, err := sub.Run(raw, func(s2, e2 int) { e.emitSpan(start+s2, start+e2) })
+	member := e.aut.PathOf(next)
+	st, err := sub.Run(raw, func(_, s2, e2 int) { e.emitMember(member, start+s2, start+e2) })
 	e.mergeSkips(st.Skipped)
 	return err
 }
@@ -278,7 +279,7 @@ func (e *Engine) probeChain(fr *filterRuntime, i int, raw []byte, vt jsonpath.Va
 		}
 		var vs, ve int
 		got := false
-		st, err := pe.Run(raw, func(s2, e2 int) {
+		st, err := pe.Run(raw, func(_, s2, e2 int) {
 			if !got {
 				vs, ve, got = s2, e2, true
 			}

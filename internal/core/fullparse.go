@@ -13,14 +13,14 @@ import (
 // (DisableFastForward) and doubles as an in-package correctness oracle —
 // both paths must produce identical matches on identical input.
 
-func (e *Engine) runFull(b byte) error { return e.fullValue(b, 1) }
-
 // fullObject parses the object under the cursor token by token, applying
-// the [Key]/[Val] rules at each attribute. An empty set parses a subtree
-// in detail while matching nothing.
+// the [Key]/[Val] rules at each attribute, and the driver's rule that a
+// named-child state matches at most one attribute. An empty set parses
+// a subtree in detail while matching nothing.
 func (e *Engine) fullObject(set stateSet) error {
 	s := e.s
 	s.Advance(1) // consume '{'
+	live := set
 	for {
 		b, ok := s.SkipWS()
 		if !ok {
@@ -48,8 +48,8 @@ func (e *Engine) fullObject(set stateSet) error {
 		if !ok {
 			return fmt.Errorf("core: attribute without value at %d", s.Pos())
 		}
-		child, _, act, _ := e.matchKey(set, name)
-		if err := e.fullMember(vb, child, act, fastforward.G2); err != nil {
+		child, acc, act := e.matchKey(&live, name)
+		if err := e.fullMember(vb, child, acc, act, fastforward.G2); err != nil {
 			return err
 		}
 	}
@@ -74,8 +74,8 @@ func (e *Engine) fullArray(set stateSet) error {
 			idx++
 			continue
 		}
-		child, _, act := e.matchIndex(set, idx)
-		if err := e.fullMember(b, child, act, fastforward.G5); err != nil {
+		child, acc, act := e.matchIndex(set, idx)
+		if err := e.fullMember(b, child, acc, act, fastforward.G5); err != nil {
 			return err
 		}
 	}
@@ -85,7 +85,7 @@ func (e *Engine) fullArray(set stateSet) error {
 // on the engine's decision for it. A filter candidate is parsed like a
 // dead value (no fast-forwarding in this ablation) and then decided like
 // the normal path; g is the group its probe event reports.
-func (e *Engine) fullMember(b byte, child stateSet, act action, g fastforward.Group) error {
+func (e *Engine) fullMember(b byte, child, acc stateSet, act action, g fastforward.Group) error {
 	start := e.s.Pos()
 	if act == actProbe {
 		if err := e.fullValue(b, 0); err != nil {
@@ -97,8 +97,8 @@ func (e *Engine) fullMember(b byte, child stateSet, act action, g fastforward.Gr
 	if err := e.fullValue(b, child); err != nil {
 		return err
 	}
-	if act == actOutput || act == actDescendOutput {
-		e.emitSpan(start, e.s.Pos())
+	if acc != 0 {
+		e.emitMatch(acc, start, e.s.Pos())
 	}
 	return nil
 }

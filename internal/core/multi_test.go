@@ -10,13 +10,15 @@ import (
 	"jsonski/internal/jsonpath"
 )
 
-func multiEngineFor(t *testing.T, exprs ...string) *MultiEngine {
+// multiEngineFor builds one engine over the paths numbered in one
+// automaton, as a QuerySet group runs its shared members.
+func multiEngineFor(t *testing.T, exprs ...string) *Engine {
 	t.Helper()
-	auts := make([]*automaton.Automaton, len(exprs))
+	paths := make([]*jsonpath.Path, len(exprs))
 	for i, e := range exprs {
-		auts[i] = automaton.New(jsonpath.MustParse(e))
+		paths[i] = jsonpath.MustParse(e)
 	}
-	return NewMultiEngine(auts)
+	return NewEngine(automaton.New(paths...))
 }
 
 func TestMultiEngineBasic(t *testing.T) {

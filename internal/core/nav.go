@@ -13,9 +13,9 @@ import (
 // Navigator is the execution substrate every engine runs on: it owns the
 // stream position, the fast-forward dispatcher (and with it the Table 6
 // group counters), recursion accounting, and the explain-trace binding.
-// The push-based recursive-descent driver (driver.go) borrows it through
-// cursor; the pull-based on-demand API (jsonski.Document) drives it
-// directly through Root/Field/Elem/Raw below.
+// The push-based recursive-descent Engine (driver.go) embeds it; the
+// pull-based on-demand API (jsonski.Document) drives it directly
+// through Root/Field/Elem/Raw below.
 //
 // Pull-mode navigation is strictly forward-only, like the stream it
 // wraps: every movement is one of the paper's Table 1 fast-forward
@@ -39,7 +39,7 @@ type Navigator struct {
 	rootStart, rootEnd int
 
 	// trace, when non-nil, receives one event per fast-forward movement
-	// plus the policy's state at each descent (explain mode). The
+	// plus the engine's state set at each descent (explain mode). The
 	// disabled path is a nil check per object/array frame.
 	trace *telemetry.Trace
 

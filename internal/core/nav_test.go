@@ -219,7 +219,7 @@ func TestNavigatorChargesMatchCompiledQuery(t *testing.T) {
 	}
 	e := NewEngine(automaton.New(p))
 	var spans [][2]int
-	if _, err := e.Run([]byte(navDoc), func(a, b int) { spans = append(spans, [2]int{a, b}) }); err != nil {
+	if _, err := e.Run([]byte(navDoc), func(_, a, b int) { spans = append(spans, [2]int{a, b}) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(spans) != 1 {

@@ -11,11 +11,8 @@ import (
 	"jsonski/internal/stream"
 )
 
-// parityDocs pairs a query with documents whose root type matches the
-// query's expectation. (Root-type mismatch is a documented divergence:
-// the DFA engine returns without consuming the record, while the
-// MultiEngine kills the query and G2-consumes the record so the shared
-// pass can continue for other queries.)
+// parityCases pairs a query with documents whose root type matches the
+// query's expectation.
 var parityCases = []struct{ query, data string }{
 	{"$.a.b", `{"a": {"b": 1}, "c": {"b": 2}}`},
 	{"$.a.b", `{"x": [1, 2, 3], "a": {"q": "s", "b": {"deep": [true]}}}`},
@@ -28,50 +25,47 @@ var parityCases = []struct{ query, data string }{
 	{"$[*].a", `[{"a": 1}, "skip", {"b": 2}, {"a": [3]}]`},
 }
 
-// TestDFAMultiStatsParity locks in satellite of the shared driver: a
-// single-query MultiEngine run must produce the same matches AND the
-// same Stats — InputBytes and every per-group fast-forward charge — as
-// the DFA engine, because both are policies over the same descent.
+// TestDFAMultiStatsParity runs each parity query alone and as one path
+// of an automaton holding every parity query, as a QuerySet group runs
+// its shared members: the member must report the same spans, and the
+// run the same InputBytes. Group charges are NOT compared: the other
+// paths keep more of the record live.
 func TestDFAMultiStatsParity(t *testing.T) {
-	for _, tc := range parityCases {
+	paths := make([]*jsonpath.Path, len(parityCases))
+	for i, tc := range parityCases {
+		paths[i] = jsonpath.MustParse(tc.query)
+	}
+	for i, tc := range parityCases {
 		t.Run(tc.query, func(t *testing.T) {
-			p, err := jsonpath.Parse(tc.query)
-			if err != nil {
-				t.Fatal(err)
-			}
 			data := []byte(tc.data)
-
-			dfa := NewEngine(automaton.New(p))
-			var dfaSpans []string
-			dfaStats, err := dfa.Run(data, func(s, e int) {
-				dfaSpans = append(dfaSpans, tc.data[s:e])
-			})
-			if err != nil {
-				t.Fatalf("dfa: %v", err)
-			}
-
-			multi := NewMultiEngine([]*automaton.Automaton{automaton.New(p)})
-			var multiSpans []string
-			multiStats, err := multi.Run(data, func(q, s, e int) {
-				if q != 0 {
-					t.Errorf("singleton set reported query %d", q)
+			alone := NewEngine(automaton.New(paths[i]))
+			var aloneSpans []string
+			aloneStats, err := alone.Run(data, func(member, s, e int) {
+				if member != 0 {
+					t.Errorf("one-path engine reported member %d", member)
 				}
-				multiSpans = append(multiSpans, tc.data[s:e])
+				aloneSpans = append(aloneSpans, tc.data[s:e])
 			})
 			if err != nil {
-				t.Fatalf("multi: %v", err)
+				t.Fatalf("alone: %v", err)
 			}
 
-			if !reflect.DeepEqual(dfaSpans, multiSpans) {
-				t.Errorf("spans diverge:\n dfa   %q\n multi %q", dfaSpans, multiSpans)
+			set := NewEngine(automaton.New(paths...))
+			var setSpans []string
+			setStats, err := set.Run(data, func(member, s, e int) {
+				if member == i {
+					setSpans = append(setSpans, tc.data[s:e])
+				}
+			})
+			if err != nil {
+				t.Fatalf("set: %v", err)
 			}
-			if dfaStats.Matches != multiStats.Matches ||
-				dfaStats.InputBytes != multiStats.InputBytes {
-				t.Errorf("stats diverge: dfa %+v multi %+v", dfaStats, multiStats)
+
+			if !reflect.DeepEqual(aloneSpans, setSpans) {
+				t.Errorf("spans diverge:\n alone %q\n set   %q", aloneSpans, setSpans)
 			}
-			if dfaStats.Skipped.SkippedBytes != multiStats.Skipped.SkippedBytes {
-				t.Errorf("group charges diverge:\n dfa   %v\n multi %v",
-					dfaStats.Skipped.SkippedBytes, multiStats.Skipped.SkippedBytes)
+			if aloneStats.InputBytes != setStats.InputBytes {
+				t.Errorf("input bytes diverge: alone %d set %d", aloneStats.InputBytes, setStats.InputBytes)
 			}
 		})
 	}
@@ -94,7 +88,7 @@ func TestDFANFAMatchParity(t *testing.T) {
 				e := NewEngine(automaton.New(p))
 				e.DisabledGroups = disabled
 				var spans []string
-				st, err := e.Run(data, func(start, end int) { spans = append(spans, tc.data[start:end]) })
+				st, err := e.Run(data, func(_, start, end int) { spans = append(spans, tc.data[start:end]) })
 				if err != nil {
 					t.Fatalf("disabled=%b: %v", disabled, err)
 				}
@@ -137,7 +131,7 @@ func TestNFAWindowMatchesSliceRun(t *testing.T) {
 
 		windowed := NewEngine(automaton.New(p))
 		var winSpans [][2]int
-		winStats, err := windowed.RunIndexedWindow(ix, lo, hi, func(s, e int) {
+		winStats, err := windowed.RunIndexedWindow(ix, lo, hi, func(_, s, e int) {
 			winSpans = append(winSpans, [2]int{s - lo, e - lo})
 		})
 		if err != nil {
@@ -146,7 +140,7 @@ func TestNFAWindowMatchesSliceRun(t *testing.T) {
 
 		direct := NewEngine(automaton.New(p))
 		var directSpans [][2]int
-		directStats, err := direct.Run([]byte(rec), func(s, e int) {
+		directStats, err := direct.Run([]byte(rec), func(_, s, e int) {
 			directSpans = append(directSpans, [2]int{s, e})
 		})
 		if err != nil {
@@ -208,7 +202,7 @@ func TestNavigatorDFAStatsParity(t *testing.T) {
 
 			dfa := NewEngine(automaton.New(p))
 			var dfaSpans [][2]int
-			dfaStats, err := dfa.Run(data, func(s, e int) {
+			dfaStats, err := dfa.Run(data, func(_, s, e int) {
 				dfaSpans = append(dfaSpans, [2]int{s, e})
 			})
 			if err != nil {

@@ -57,7 +57,7 @@ func (e *ScalarEngine) run() error {
 	if e.pos >= len(e.data) {
 		return fmt.Errorf("core: empty input")
 	}
-	if e.aut.StepCount() == 0 {
+	if e.aut.IsAccept(0) {
 		start := e.pos
 		if err := e.skipValue(); err != nil {
 			return err
@@ -67,12 +67,12 @@ func (e *ScalarEngine) run() error {
 	}
 	switch e.data[e.pos] {
 	case '{':
-		if e.aut.RootType() == jsonpath.Array {
+		if e.aut.RootType(0) == jsonpath.Array {
 			return nil
 		}
 		return e.object(0)
 	case '[':
-		if e.aut.RootType() == jsonpath.Object {
+		if e.aut.RootType(0) == jsonpath.Object {
 			return nil
 		}
 		return e.array(0)
@@ -84,7 +84,7 @@ func (e *ScalarEngine) run() error {
 func (e *ScalarEngine) match(start, end int) {
 	e.matches++
 	if e.emit != nil {
-		e.emit(start, end)
+		e.emit(0, start, end)
 	}
 }
 
@@ -253,7 +253,7 @@ func (e *ScalarEngine) probeCandidate(child, start, end int) error {
 	if !doc.Holds(st.Filter, doc.Root) {
 		return nil
 	}
-	if child == e.aut.StepCount() {
+	if e.aut.IsAccept(child) {
 		e.match(start, end)
 		return nil
 	}

@@ -18,7 +18,7 @@ func runScalar(t *testing.T, query, data string) ([]string, Stats) {
 	}
 	e := NewScalarEngine(automaton.New(p))
 	var got []string
-	st, err := e.Run([]byte(data), func(s, en int) { got = append(got, data[s:en]) })
+	st, err := e.Run([]byte(data), func(_, s, en int) { got = append(got, data[s:en]) })
 	if err != nil {
 		t.Fatalf("scalar %q: %v", query, err)
 	}

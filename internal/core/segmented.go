@@ -75,7 +75,7 @@ func (se *SegmentedEngine) eval(data []byte, ix *stream.Index, lo, hi int, emit 
 		return rootDoc
 	}
 	// tailEval runs the deferred tail over one prefix-selected span.
-	tailEval := func(vs, ve int) {
+	tailEval := func(_, vs, ve int) {
 		d, err := domparser.ParseDoc(data[vs:ve])
 		if err != nil {
 			return
@@ -86,7 +86,7 @@ func (se *SegmentedEngine) eval(data []byte, ix *stream.Index, lo, hi int, emit 
 		d.EvalSpans(se.tail, func(s2, e2 int) {
 			matches++
 			if emit != nil {
-				emit(vs+s2, vs+e2)
+				emit(0, vs+s2, vs+e2)
 			}
 		})
 	}
@@ -106,7 +106,7 @@ func (se *SegmentedEngine) eval(data []byte, ix *stream.Index, lo, hi int, emit 
 			for off < hi && isSpaceByte(data[off]) {
 				off++
 			}
-			tailEval(off, off+len(span))
+			tailEval(0, off, off+len(span))
 		}
 		st.InputBytes = int64(hi - lo)
 	}

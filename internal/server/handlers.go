@@ -160,7 +160,8 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if explainRequested(r) {
-		// The shared-pass MultiEngine interleaves all queries' movements;
+		// A set's shared pass moves once for all of its members, and a
+		// set past one state set's 63 states takes one pass per group;
 		// per-query attribution would be misleading, so explain is a
 		// /query-only feature.
 		s.reject(w, r, http.StatusBadRequest, errors.New("explain is not supported on /multi; use /query"))

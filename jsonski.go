@@ -145,10 +145,10 @@ func (s *Stats) merge(o Stats) {
 	}
 }
 
-// runner is the common face of the single-query engines: the streaming
-// engine for paths it runs whole, linear or with a descendant step, and
-// the segmented engine for paths with a split point. A whole index is
-// the window [0, Len).
+// runner is the common face of the engines: the streaming engine for
+// automata it runs whole (a path, linear or with a descendant step, or
+// a group of a QuerySet's members), and the segmented engine for paths
+// with a split point. A whole index is the window [0, Len).
 type runner interface {
 	Run(data []byte, emit core.EmitFunc) (core.Stats, error)
 	RunIndexedWindow(ix *stream.Index, lo, hi int, emit core.EmitFunc) (core.Stats, error)
@@ -173,7 +173,7 @@ func indexed(ix *Index, lo, hi int) input {
 // an internal pool.
 type Query struct {
 	path *jsonpath.Path
-	pool sync.Pool
+	pass
 }
 
 // Compile parses and compiles a JSONPath expression.
@@ -191,8 +191,7 @@ func Compile(expr string) (*Query, error) {
 		q.pool.New = func() any { return runner(core.NewSegmentedEngine(p)) }
 		return q, nil
 	}
-	aut := automaton.New(p)
-	q.pool.New = func() any { return runner(core.NewEngine(aut)) }
+	q.pool.New = enginesOf(automaton.New(p))
 	return q, nil
 }
 
@@ -209,12 +208,22 @@ func MustCompile(expr string) *Query {
 // String returns the source expression.
 func (q *Query) String() string { return q.path.String() }
 
-// eval is the one per-record evaluation of a Query: a pooled engine runs
-// over in, delivering spans through sr, which the caller has begun on
-// the record, and recording sr's explain trace, if any.
-func (q *Query) eval(in input, sr *sinkRun) (Stats, error) {
-	e := q.pool.Get().(runner)
-	defer q.pool.Put(e)
+// pass is one evaluation pass over a record: a pool of engines for one
+// compiled automaton (a query's path, or a group of a QuerySet's
+// members) or for one path with a split point.
+type pass struct{ pool sync.Pool }
+
+// enginesOf returns the pool constructor of the engines for aut.
+func enginesOf(aut *automaton.Automaton) func() any {
+	return func() any { return runner(core.NewEngine(aut)) }
+}
+
+// eval is the one per-record evaluation pass: a pooled engine runs over
+// in, delivering spans through sr, which the caller has begun on the
+// record, and recording sr's explain trace, if any.
+func (p *pass) eval(in input, sr *sinkRun) (Stats, error) {
+	e := p.pool.Get().(runner)
+	defer p.pool.Put(e)
 	if sr.trace != nil {
 		e.SetTrace(sr.trace)
 		defer e.SetTrace(nil)

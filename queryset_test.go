@@ -1,12 +1,16 @@
 package jsonski
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"jsonski/internal/gen"
 )
 
 func TestCompileSetErrors(t *testing.T) {
@@ -264,5 +268,107 @@ func TestQuerySetRunRecordsErrorNamesRecord(t *testing.T) {
 	_, err := qs.RunRecords(records, nil)
 	if err == nil || !strings.Contains(err.Error(), "record 1:") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// twoGroupPaths are 32 distinct TT paths whose shared states (each
+// path's steps plus its accept state) exceed one 63-bit state set.
+var twoGroupPaths = []string{
+	"$.coordinates", "$.coordinates[*]", "$.created_at", "$.en", "$.en.hashtags",
+	"$.en.hashtags[*]", "$.en.hashtags[*].indices", "$.en.hashtags[*].indices[*]",
+	"$.en.hashtags[*].text", "$.en.urls", "$.en.urls[*]", "$.en.urls[*].expanded",
+	"$.en.urls[*].expanded.full", "$.en.urls[*].expanded.meta.len", "$.en.urls[*].indices[0]",
+	"$.en.urls[*].indices[*][1]", "$.en.urls[*].url", "$.id", "$.lang", "$.place",
+	"$.place.bounding_box.pos[0][*]", "$.place.bounding_box.type", "$.place.name",
+	"$.retweet_count", "$.source", "$.text", "$.user", "$.user.entities.description.urls",
+	"$.user.followers_count", "$.user.id", "$.user.name", "$.user.screen_name",
+}
+
+// TestQuerySetTwoGroups runs a set whose shared members need more
+// states than one state set holds, so CompileSet packs them into two
+// groups, each its own pass. Every set entry point must still give each
+// member its single-query matches.
+func TestQuerySetTwoGroups(t *testing.T) {
+	qs := MustCompileSet(twoGroupPaths...)
+	if len(qs.passes) != 2 {
+		t.Fatalf("%d passes, want two groups", len(qs.passes))
+	}
+	recs, err := gen.GenerateRecords("tt", 32<<10, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// want[r][m] holds member m's single-query matches in record r.
+	want := make([][][]string, len(recs))
+	for r := range recs {
+		want[r] = make([][]string, len(twoGroupPaths))
+	}
+	for m, expr := range twoGroupPaths {
+		if _, err := MustCompile(expr).RunRecords(recs, func(x Match) {
+			want[x.Record][m] = append(want[x.Record][m], string(x.Value))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(name string, run func(fn func(SetMatch)) error) {
+		got := make([][][]string, len(recs))
+		for r := range recs {
+			got[r] = make([][]string, len(twoGroupPaths))
+		}
+		if err := run(func(x SetMatch) {
+			got[x.Record][x.Query] = append(got[x.Record][x.Query], string(x.Value))
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: set matches differ from single-query runs", name)
+		}
+	}
+	// perRecord runs a single-record entry point over each record.
+	perRecord := func(run func(rec []byte, fn func(SetMatch)) error) func(fn func(SetMatch)) error {
+		return func(fn func(SetMatch)) error {
+			for r, rec := range recs {
+				if err := run(rec, func(x SetMatch) { x.Record = r; fn(x) }); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	check("Run", perRecord(func(rec []byte, fn func(SetMatch)) error {
+		_, err := qs.Run(rec, fn)
+		return err
+	}))
+	check("RunIndexed", perRecord(func(rec []byte, fn func(SetMatch)) error {
+		ix := BuildIndex(rec)
+		defer ix.Release()
+		_, err := qs.RunIndexed(ix, fn)
+		return err
+	}))
+	check("RunRecords", func(fn func(SetMatch)) error {
+		_, err := qs.RunRecords(recs, fn)
+		return err
+	})
+	check("RunReaderContext", func(fn func(SetMatch)) error {
+		_, err := qs.RunReaderContext(context.Background(), bytes.NewReader(bytes.Join(recs, []byte("\n"))), fn)
+		return err
+	})
+	// RunSink carries no member index: it must deliver Run's spans in
+	// Run's order.
+	for r, rec := range recs {
+		var viaRun []string
+		if _, err := qs.Run(rec, func(x SetMatch) { viaRun = append(viaRun, string(x.Value)) }); err != nil {
+			t.Fatal(err)
+		}
+		var sink BufferSink
+		if _, err := qs.RunSink(rec, &sink); err != nil {
+			t.Fatal(err)
+		}
+		viaSink := make([]string, len(sink.Values))
+		for i, v := range sink.Values {
+			viaSink[i] = string(v)
+		}
+		if !reflect.DeepEqual(viaSink, viaRun) {
+			t.Fatalf("record %d: RunSink spans %q, Run spans %q", r, viaSink, viaRun)
+		}
 	}
 }

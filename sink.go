@@ -202,26 +202,25 @@ func fnSink(fn func(Match)) Sink {
 }
 
 // sinkRun is the output side of one run. It adapts Sink.Span to the
-// engines' span callbacks, latches the sink's first error without
+// engines' span callback, latches the sink's first error without
 // aborting the engine mid-record, and settles Flush/error precedence at
 // the end. It also carries an explain run's movement log and, for a
 // QuerySet run, the set position of the spans being delivered. Runs are
-// pooled with their span callbacks bound, so starting one allocates
+// pooled with their span callback bound, so starting one allocates
 // nothing.
 type sinkRun struct {
-	sink  Sink
-	err   error
-	trace *telemetry.Trace // explain runs only
-	query int              // QuerySet runs: set position of the spans being delivered
-	remap []int            // QuerySet runs: set position of each shared-pass query
+	sink    Sink
+	err     error
+	trace   *telemetry.Trace // explain runs only
+	query   int              // QuerySet runs: set position of the span being delivered
+	members []int            // QuerySet runs: set position of each path of the running pass
 
-	deliverFn core.EmitFunc      // sr.deliver
-	sharedFn  core.MultiEmitFunc // sr.deliverShared
+	deliverFn core.EmitFunc // sr.deliver
 }
 
 var sinkRuns = sync.Pool{New: func() any {
 	sr := new(sinkRun)
-	sr.deliverFn, sr.sharedFn = sr.deliver, sr.deliverShared
+	sr.deliverFn = sr.deliver
 	return sr
 }}
 
@@ -240,8 +239,8 @@ func (sr *sinkRun) begin(record int, data []byte) {
 	}
 }
 
-// emit is the single-query engines' span callback: nil for a nil sink,
-// keeping the engines' no-output fast path.
+// emit is the engines' span callback: nil for a nil sink, keeping the
+// engines' no-output fast path.
 func (sr *sinkRun) emit() core.EmitFunc {
 	if sr.sink == nil {
 		return nil
@@ -249,27 +248,16 @@ func (sr *sinkRun) emit() core.EmitFunc {
 	return sr.deliverFn
 }
 
-// emitShared is emit for the shared pass of a QuerySet, whose engine
-// reports each span's position among the shared queries.
-func (sr *sinkRun) emitShared() core.MultiEmitFunc {
-	if sr.sink == nil {
-		return nil
-	}
-	return sr.sharedFn
-}
-
-func (sr *sinkRun) deliver(start, end int) {
+func (sr *sinkRun) deliver(member, start, end int) {
 	if sr.err != nil {
 		return // sink already failed: drop further spans, let the run finish
+	}
+	if sr.members != nil {
+		sr.query = sr.members[member]
 	}
 	if err := sr.sink.Span(start, end); err != nil {
 		sr.err = err
 	}
-}
-
-func (sr *sinkRun) deliverShared(query, start, end int) {
-	sr.query = sr.remap[query]
-	sr.deliver(start, end)
 }
 
 // finish flushes the sink, merges errors — the engine's error wins (it
@@ -285,7 +273,7 @@ func (sr *sinkRun) finish(engineErr error) error {
 			err = ferr
 		}
 	}
-	*sr = sinkRun{deliverFn: sr.deliverFn, sharedFn: sr.sharedFn}
+	*sr = sinkRun{deliverFn: sr.deliverFn}
 	sinkRuns.Put(sr)
 	return err
 }
