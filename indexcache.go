@@ -5,7 +5,9 @@ import (
 	"container/list"
 	"sync"
 
+	"jsonski/internal/bits"
 	"jsonski/internal/store"
+	"jsonski/internal/stream"
 )
 
 // DefaultIndexCacheBytes is the byte budget used by NewIndexCache when
@@ -24,9 +26,9 @@ const DefaultIndexCacheBytes = 64 << 20
 // the mask buffer returns to the pool only when the last in-flight
 // reader releases its own.
 //
-// The budget counts both the mask buffers (~9/8 of the input length)
-// and the retained document bytes, since a cached entry pins its
-// document buffer.
+// A cached entry holds its own copy of the document, so callers may
+// reuse their buffers. The budget counts both the mask buffers (~9/8
+// of the input length) and those copies.
 type IndexCache struct {
 	mu        sync.Mutex
 	maxBytes  int64
@@ -65,12 +67,13 @@ func NewIndexCache(maxBytes int64) *IndexCache {
 // owned by the caller, who must Release it when done streaming — on a
 // hit that reference pins the entry against concurrent eviction.
 //
-// A cached entry retains the document buffer it was built from, so the
-// buffer passed here must not be mutated or reused afterwards (the
-// typical caller hands in a per-request body slice).
+// Get keeps no reference to data once the returned index is released:
+// a document it caches is indexed over a copy, so the caller may reuse
+// or overwrite its buffer after the Release.
 //
-// Documents larger than the cache budget are indexed but not cached;
-// the returned index is then recycled by the caller's Release alone.
+// Documents larger than the cache budget are indexed in place but not
+// cached; the returned index is then recycled by the caller's Release
+// alone.
 func (ic *IndexCache) Get(data []byte) *Index {
 	// The key is the same ContentHash a Catalog files sidecars under, so
 	// the in-memory and on-disk tiers address documents identically.
@@ -85,8 +88,15 @@ func (ic *IndexCache) Get(data []byte) *Index {
 	ic.mu.Unlock()
 
 	// Build outside the lock: indexing is O(len(data)), and holding the
-	// lock across it would serialize every concurrent miss.
-	ix := BuildIndex(data)
+	// lock across it would serialize every concurrent miss. A document
+	// the cache will keep is indexed over its own copy, one memcpy next
+	// to the build.
+	cost := indexCost(len(data))
+	src := data
+	if cost <= ic.maxBytes {
+		src = bytes.Clone(data)
+	}
+	ix := BuildIndex(src)
 
 	ic.mu.Lock()
 	ic.bytesIndexed += int64(len(data))
@@ -97,7 +107,6 @@ func (ic *IndexCache) Get(data []byte) *Index {
 		ix.Release() // drop the duplicate build
 		return cached
 	}
-	cost := int64(len(data) + ix.MaskBytes())
 	if cost <= ic.maxBytes {
 		ix.Acquire() // the cache's own reference
 		el := ic.ll.PushFront(&indexEntry{hash: h, ix: ix, cost: cost})
@@ -107,6 +116,13 @@ func (ic *IndexCache) Get(data []byte) *Index {
 	}
 	ic.mu.Unlock()
 	return ix
+}
+
+// indexCost is the memory a cached index of an n-byte document
+// retains: the document's copy plus its mask rows (Index.MaskBytes).
+func indexCost(n int) int64 {
+	words := (n + bits.WordSize - 1) / bits.WordSize
+	return int64(n + words*stream.RowStride*8)
 }
 
 // lookup finds the entry for (h, data), moves it to the front, and

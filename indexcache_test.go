@@ -139,3 +139,40 @@ func TestIndexCacheDefaultBudget(t *testing.T) {
 		t.Fatalf("CapBytes = %d, want %d", st.CapBytes, jsonski.DefaultIndexCacheBytes)
 	}
 }
+
+// TestIndexCacheKeepsItsOwnCopy pins Get's ownership contract: once the
+// returned index is released the cache holds no reference to the
+// caller's buffer, so the caller may overwrite it and a later Get of
+// the original bytes still hits with the original answers.
+func TestIndexCacheKeepsItsOwnCopy(t *testing.T) {
+	ic := jsonski.NewIndexCache(1 << 20)
+	orig := []byte(`{"a":{"b":[10,20,30]},"c":"keep"}`)
+	buf := bytes.Clone(orig)
+
+	ix := ic.Get(buf)
+	if got := countIndexed(t, "$.a.b[*]", ix); got != 3 {
+		t.Fatalf("miss: matches = %d, want 3", got)
+	}
+	ix.Release()
+	// The caller reuses its buffer for another document of the same
+	// length, as a pooled request buffer would.
+	copy(buf, bytes.Repeat([]byte(" "), len(buf)))
+	copy(buf, `[0]`)
+
+	ix = ic.Get(orig)
+	defer ix.Release()
+	if st := ic.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 1/1", st.Hits, st.Misses)
+	}
+	if !bytes.Equal(ix.Data(), orig) {
+		t.Fatalf("cached document = %q, want %q", ix.Data(), orig)
+	}
+	q := jsonski.MustCompile("$.a.b[*]")
+	var vals []string
+	if _, err := q.RunIndexed(ix, func(m jsonski.Match) { vals = append(vals, string(m.Value)) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(vals); got != "[10 20 30]" {
+		t.Fatalf("answers = %s, want [10 20 30]", got)
+	}
+}

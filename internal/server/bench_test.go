@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
+
+	"jsonski/internal/gen"
 )
 
 // nullWriter is a ResponseWriter that discards the body, so benchmarks
@@ -15,6 +18,7 @@ import (
 // client wake-up, a cost the discarded body would otherwise hide.
 type nullWriter struct {
 	h       http.Header
+	code    int
 	n       int64
 	flushes int
 }
@@ -26,7 +30,7 @@ func (w *nullWriter) Header() http.Header {
 	return w.h
 }
 func (w *nullWriter) Write(b []byte) (int, error) { w.n += int64(len(b)); return len(b), nil }
-func (w *nullWriter) WriteHeader(int)             {}
+func (w *nullWriter) WriteHeader(code int)        { w.code = code }
 func (w *nullWriter) Flush()                      { w.flushes++ }
 
 // benchDoc is a single document with a handful of matches for
@@ -43,6 +47,33 @@ func benchDoc() []byte {
 	}
 	b.WriteString(`]}`)
 	return b.Bytes()
+}
+
+// hotDoc is a generated 256 KiB TT document, the size of the
+// http-doc-hot ledger workload's documents, with the /query and /doc
+// requests that workload sends it.
+func hotDoc(tb testing.TB) []byte {
+	tb.Helper()
+	doc, err := gen.Generate("tt", 256<<10, 7)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return doc
+}
+
+var hotTargets = []struct{ name, target string }{
+	{"query", "/query?path=" + url.QueryEscape("$[*].en.urls[*].url")},
+	{"doc", "/doc?get=" + url.QueryEscape("[40].user.screen_name")},
+}
+
+// serveHot sends one single-document request for doc to s in process
+// and returns its status (200 unless the handler set another).
+func serveHot(s *Server, target string, doc []byte) int {
+	req := httptest.NewRequest("POST", target, bytes.NewReader(doc))
+	req.Header.Set("Content-Type", "application/json")
+	w := nullWriter{code: http.StatusOK}
+	s.ServeHTTP(&w, req)
+	return w.code
 }
 
 func benchServer(b *testing.B) *Server {
@@ -97,6 +128,33 @@ func BenchmarkServerQueryStream(b *testing.B) {
 				flushes += w.flushes
 			}
 			b.ReportMetric(float64(flushes)/float64(b.N), "flushes/op")
+		})
+	}
+}
+
+// BenchmarkServerDocHot measures the hot single-document path of the
+// http-doc-hot workload in process: /query and /doc over a 256 KiB TT
+// document whose structural index is cached after the first request,
+// so the body read, content hash, cache lookup and evaluation are the
+// whole cost. Its allocs/op hold the body read to a recycled buffer.
+func BenchmarkServerDocHot(b *testing.B) {
+	doc := hotDoc(b)
+	for _, ht := range hotTargets {
+		b.Run(ht.name, func(b *testing.B) {
+			s, err := New(Config{Workers: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(s.Close)
+			if code := serveHot(s, ht.target, doc); code != http.StatusOK {
+				b.Fatalf("warm-up: status %d", code)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(doc)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serveHot(s, ht.target, doc)
+			}
 		})
 	}
 }

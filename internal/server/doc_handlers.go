@@ -31,10 +31,13 @@ func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 
 	s.m.counts[inFlight].Add(1)
 	defer s.m.counts[inFlight].Add(-1)
-	data, ok := s.readDocument(w, s.requestBody(w, r))
-	if !ok {
+	bb, data := s.readDocument(w, r)
+	if bb == nil {
 		return
 	}
+	// Deferred first, so it runs after the index's Release: the buffer
+	// goes back once nothing reads data.
+	defer putBodyBuf(bb)
 
 	rsp := telemetry.SpanFromContext(r.Context())
 	ix := s.lookupIndex(rsp, data)

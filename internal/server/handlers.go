@@ -209,12 +209,11 @@ func multiLine(buf *bytes.Buffer, idx int) func(jsonski.SetMatch) {
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, ev evaluator) {
 	s.m.counts[inFlight].Add(1)
 	defer s.m.counts[inFlight].Add(-1)
-	body := s.requestBody(w, r)
 	if ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); ct == "application/json" {
-		s.serveSingle(w, r, body, ev)
+		s.serveSingle(w, r, ev)
 		return
 	}
-	s.streamRecords(w, r, body, ev)
+	s.streamRecords(w, r, s.requestBody(w, r), ev)
 }
 
 // explainEvent is one trailer event: a public trace event tagged with
@@ -268,14 +267,17 @@ func (t *explainTrail) line() []byte {
 }
 
 // serveSingle evaluates the whole body as one record. With the index
-// cache enabled it runs through a cached structural index: the body
-// buffer is fresh per request (ReadAll), so the cache can safely retain
-// it, and repeated posts of the same document hit the cached masks.
-func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, body io.Reader, ev evaluator) {
-	data, ok := s.readDocument(w, body)
-	if !ok {
+// cache enabled it runs through a cached structural index, so repeated
+// posts of the same document hit the cached masks. The body's pooled
+// buffer goes back when serveSingle returns: no slice of it outlives
+// the handler, since matches are rendered or flushed before then and
+// the index tiers keep their own copies of what they cache.
+func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, ev evaluator) {
+	bb, data := s.readDocument(w, r)
+	if bb == nil {
 		return
 	}
+	defer putBodyBuf(bb)
 	if ev.single != nil && !ev.explain {
 		s.serveSingleStreaming(w, r, data, ev)
 		return

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"mime"
 	"net/http"
 	"strconv"
@@ -42,11 +41,13 @@ func (s *Server) handleIndexPut(w http.ResponseWriter, r *http.Request) {
 	if !s.requireCatalog(w, r) {
 		return
 	}
-	data, err := io.ReadAll(s.requestBody(w, r))
-	if err != nil {
-		s.jsonError(w, requestStatus(err), err)
+	bb := s.readBody(w, r)
+	if bb == nil {
 		return
 	}
+	// Put writes and maps a sidecar and keeps nothing of the body.
+	defer putBodyBuf(bb)
+	data := bb.b
 	var spans []jsonski.Span
 	if ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); ct == "application/json" {
 		data = bytes.TrimSpace(data)

@@ -403,7 +403,7 @@ func (s *promSnapshot) families() []promFamily {
 		{"jsonski_records_total", "JSON records evaluated.", "counter", "", nil, one(&s.Engine.Records)},
 		{"jsonski_record_errors_total", "Records whose evaluation failed.", "counter", "", nil, one(&s.Engine.RecordErrors)},
 		{"jsonski_matches_total", "Values emitted by the query engines.", "counter", "", nil, one(&s.Engine.Matches)},
-		{"jsonski_engine_input_bytes_total", "Bytes handed to the query engines.", "counter", "", nil, one(&s.Engine.InputBytes)},
+		{"jsonski_engine_input_bytes_total", "Bytes handed to the query engines, counted once per engine pass: a /multi set of several passes counts a record once per pass.", "counter", "", nil, one(&s.Engine.InputBytes)},
 		{"jsonski_skipped_bytes_total", "Bytes fast-forwarded over, by paper group G1..G5.", "counter", "group", nil, groups},
 		{"jsonski_fast_forward_ratio", "Fraction of engine input bytes fast-forwarded over.", "gauge", "", nil, one(&s.Engine.FastForwardRatio)},
 		// Skip-efficiency cost accounting: the per-group fast-forward

@@ -55,6 +55,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -339,20 +340,105 @@ func (s *Server) reject(w http.ResponseWriter, r *http.Request, status int, err 
 	s.jsonError(w, status, err)
 }
 
-// readDocument reads a single-document body whole, trimmed; on a read
-// error or an empty document it sends the error response instead.
-func (s *Server) readDocument(w http.ResponseWriter, body io.Reader) ([]byte, bool) {
-	data, err := io.ReadAll(body)
-	if err != nil {
+// firstBodyChunk caps the first allocation of a whole-body read, so a
+// declared Content-Length costs at most this much before its bytes
+// arrive. It is also the largest buffer bodyPool keeps.
+const firstBodyChunk = 1 << 20
+
+// bodyBuf is a whole-body buffer recycled through bodyPool: the pool
+// holds the pointer, so a Put does not allocate.
+type bodyBuf struct{ b []byte }
+
+// bodyPool recycles the buffers of whole-body reads (single-document
+// requests and /index PUTs) across requests.
+var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
+
+// poisonBodies, set by the package's tests, overwrites each body as its
+// buffer is put back and drops the buffer, so a read of a recycled body
+// shows as wrong output on every run rather than as a rare race, and no
+// later request refills the buffer with the same document.
+var poisonBodies atomic.Bool
+
+func putBodyBuf(bb *bodyBuf) {
+	if poisonBodies.Load() {
+		for i := range bb.b {
+			bb.b[i] = '#'
+		}
+		return
+	}
+	// A buffer grown past the first chunk by one large body is dropped
+	// rather than pinned in the pool.
+	if cap(bb.b) <= firstBodyChunk+1 {
+		bb.b = bb.b[:0]
+		bodyPool.Put(bb)
+	}
+}
+
+// fill reads body to EOF into bb. The buffer is sized from the declared
+// length (negative: unknown): min(declared, firstBodyChunk)+1 bytes,
+// the extra byte letting the read see EOF without growing. Past that it
+// doubles as bytes arrive, never beyond declared+1, so a client makes
+// the daemon allocate at most firstBodyChunk before it sends anything
+// and about twice what it has sent after that. A body of unknown length
+// starts from the buffer's own capacity, or 512 bytes, and doubles.
+func (bb *bodyBuf) fill(body io.Reader, declared int64) error {
+	b := bb.b[:0]
+	want := 512
+	if declared >= 0 {
+		want = int(min(declared, firstBodyChunk)) + 1
+	}
+	if cap(b) < want {
+		b = make([]byte, 0, want)
+	}
+	for {
+		if len(b) == cap(b) {
+			size := 2 * int64(cap(b))
+			if limit := declared + 1; limit > int64(cap(b)) && limit < size {
+				size = limit
+			}
+			b = append(make([]byte, 0, size), b...)
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			bb.b = b
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+	}
+}
+
+// readBody is the one whole-body reader: it reads r's body (through
+// requestBody) into a pooled buffer that the caller puts back with
+// putBodyBuf once nothing refers to its bytes. On a read error it sends
+// the error response and returns nil.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) *bodyBuf {
+	bb := bodyPool.Get().(*bodyBuf)
+	if err := bb.fill(s.requestBody(w, r), r.ContentLength); err != nil {
+		putBodyBuf(bb)
 		s.jsonError(w, requestStatus(err), err)
-		return nil, false
+		return nil
 	}
-	data = bytes.TrimSpace(data)
+	return bb
+}
+
+// readDocument reads a single-document body whole (readBody) and
+// returns it trimmed, with the buffer holding it; on a read error or an
+// empty document it sends the error response and returns a nil buffer.
+func (s *Server) readDocument(w http.ResponseWriter, r *http.Request) (*bodyBuf, []byte) {
+	bb := s.readBody(w, r)
+	if bb == nil {
+		return nil, nil
+	}
+	data := bytes.TrimSpace(bb.b)
 	if len(data) == 0 {
+		putBodyBuf(bb)
 		s.jsonError(w, http.StatusBadRequest, errors.New("empty body"))
-		return nil, false
+		return nil, nil
 	}
-	return data, true
+	return bb, data
 }
 
 // countingReader tallies bytes drawn from a request body.

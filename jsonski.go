@@ -63,7 +63,12 @@ type Match struct {
 type Stats struct {
 	// Matches is the number of values emitted.
 	Matches int64
-	// InputBytes is the total input length processed.
+	// InputBytes is the total input length processed, counted once per
+	// pass: a QuerySet that takes several passes over a record (one per
+	// group of shared members, one per sidecar query) counts the
+	// record's bytes once for each, as its passes really read them.
+	// Every pass keeps InputBytes == ScannedBytes + Σ SkippedBytes, so
+	// the sum does too.
 	InputBytes int64
 	// SkippedBytes counts fast-forwarded bytes per group G1..G5.
 	SkippedBytes [5]int64

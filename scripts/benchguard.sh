@@ -54,6 +54,12 @@
 #                                 state-set side, which takes no G1, G4
 #                                 or G5. Every other guarded path keeps
 #                                 one state live
+#   BenchmarkServerDocHot/query
+#   BenchmarkServerDocHot/doc   — jsonskid's hot single-document path
+#                                 (./internal/server): /query and /doc
+#                                 over a 256 KiB document whose index
+#                                 is cached. The allocation gate holds
+#                                 the body read to a recycled buffer
 #
 # A benchmark absent from the base file is skipped, not failed: it did
 # not exist at the base commit. So is the allocation gate of a benchmark
@@ -110,7 +116,8 @@ for bench in BenchmarkRunLarge BenchmarkRunLargeSinkStream \
              BenchmarkOnDemandGet \
              BenchmarkRunRecordsStream/query BenchmarkRunRecordsStream/set \
              BenchmarkQuerySet/shared-pass \
-             BenchmarkDescendant/descendant-nfa; do
+             BenchmarkDescendant/descendant-nfa \
+             BenchmarkServerDocHot/query BenchmarkServerDocHot/doc; do
     head_mean=$(mean "$head_file" "$bench")
     if [ -z "$head_mean" ]; then
         echo "$bench: no samples in $head_file" >&2
