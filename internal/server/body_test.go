@@ -71,7 +71,6 @@ func TestMultiCountsEachPass(t *testing.T) {
 func TestDeclaredLengthAllocatesOnArrival(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	var before, after runtime.MemStats
-	runtime.GC()
 	runtime.ReadMemStats(&before)
 	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 	if err != nil {
@@ -104,9 +103,10 @@ func TestDeclaredLengthAllocatesOnArrival(t *testing.T) {
 	}
 }
 
-// TestChunkedLargeSingleDocument sends a 3 MiB single document without
-// a Content-Length, so the body buffer grows from the pool's and ends
-// too large to go back to it; the answers match the library's.
+// TestChunkedLargeSingleDocument sends a 3 MiB single document with
+// and without a Content-Length. Without one the body buffer grows from
+// the pool's by doubling; either way it ends too large to go back to
+// the pool, and the answers are the same.
 func TestChunkedLargeSingleDocument(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	var doc strings.Builder
