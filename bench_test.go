@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
@@ -679,9 +680,12 @@ func BenchmarkMultiQuery(b *testing.B) {
 }
 
 // BenchmarkRepeatedDocument measures the hot-document scenario behind
-// the server's index cache: the same buffer queried again and again.
+// the server's index tiers: the same buffer queried again and again.
 // lazy re-runs the word pipeline every time; indexed streams over a
-// prebuilt index; cached adds the IndexCache's hash + lookup on top.
+// prebuilt index; index-cache adds the IndexCache's hash + lookup on
+// top, and catalog the persistent Catalog's over mapped masks.
+// index-build is the cost a miss pays, and sidecar-load is a cold
+// start's alternative to it: map and validate a saved index, then query.
 func BenchmarkRepeatedDocument(b *testing.B) {
 	data := largeData(b, "bb")
 	q := jsonski.MustCompile("$.pd[*].cp[1:3].id")
@@ -718,10 +722,55 @@ func BenchmarkRepeatedDocument(b *testing.B) {
 			ix.Release()
 		}
 	})
+	b.Run("catalog", func(b *testing.B) {
+		cat, err := jsonski.OpenCatalog(b.TempDir(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cat.Close()
+		ix, _, err := cat.Put(data, nil) // warm: every timed Get is a hit
+		if err != nil {
+			b.Fatal(err)
+		}
+		ix.Release()
+		b.SetBytes(int64(len(data)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ix, _ := cat.Get(data)
+			if ix == nil {
+				b.Fatal("catalog miss")
+			}
+			if _, err := q.RunIndexed(ix, nil); err != nil {
+				b.Fatal(err)
+			}
+			ix.Release()
+		}
+	})
 	b.Run("index-build", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
 			jsonski.BuildIndex(data).Release()
+		}
+	})
+	b.Run("sidecar-load", func(b *testing.B) {
+		side := filepath.Join(b.TempDir(), "doc"+jsonski.IndexExt)
+		ix := jsonski.BuildIndex(data)
+		err := jsonski.SaveIndex(side, ix, nil)
+		ix.Release()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(data)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ix, _, err := jsonski.LoadIndex(side)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := q.RunIndexed(ix, nil); err != nil {
+				b.Fatal(err)
+			}
+			ix.Release()
 		}
 	})
 }
@@ -902,6 +951,25 @@ func BenchmarkRunFilterFullParse(b *testing.B) {
 	}
 }
 
+// BenchmarkRunFilterDOM is the same predicate and selectivity on the
+// RapidJSON-class DOM baseline: a full parse of the record, then the
+// filter over the tree. The gap to BenchmarkRunFilterSkip is what
+// evaluating filters in the stream buys.
+func BenchmarkRunFilterDOM(b *testing.B) {
+	data := largeData(b, "wm")
+	ev, err := domparser.Compile("$.it[?@.salePrice < 80].itemId")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ev.Count(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ondemandBenchDoc builds the fixture for the on-demand navigation
 // benchmarks: a wide header object, `n` sibling item objects, and a
 // trailing payload, so a single-field lookup has realistic clutter to
@@ -952,6 +1020,25 @@ func BenchmarkOnDemandGet(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = raw
+	}
+}
+
+// BenchmarkOnDemandDOM is BenchmarkOnDemandGet's lookup on the
+// RapidJSON-class DOM baseline: a full parse of the document, then a
+// walk to the one field, where the on-demand lookup fast-forwards.
+func BenchmarkOnDemandDOM(b *testing.B) {
+	data := ondemandBenchDoc(256)
+	ev, err := domparser.Compile("$.items[200].qty")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, err := ev.Count(data); err != nil || n != 1 {
+			b.Fatalf("count %d, err %v", n, err)
+		}
 	}
 }
 

@@ -6,16 +6,10 @@
 //	jsonskibench -exp fig10 -size 64MB
 //	jsonskibench -exp table6 -size 256MB
 //	jsonskibench -exp all -size 16MB -workers 16
-//	jsonskibench -exp store -size 16MB -json BENCH_6.json
-//	jsonskibench -exp trace -size 16MB -json BENCH_8.json
-//	jsonskibench -exp ondemand -json BENCH_9.json
 //
 // Sizes default to 16MB per dataset so a full run finishes in minutes;
 // the paper uses 1GB. Shapes (method ranking, ratios, scaling), not
-// absolute numbers, are the reproduction target. The store, filter,
-// trace, and ondemand experiments additionally write machine-readable
-// reports (the checked-in BENCH_*.json trajectories) when -json names a
-// file.
+// absolute numbers, are the reproduction target.
 package main
 
 import (
@@ -43,11 +37,10 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: fig10, fig11, fig12, fig13, fig14, table4, table6, ablation, sharedindex, store, filter, trace, ondemand, all")
+		exp     = flag.String("exp", "all", "experiment: fig10, fig11, fig12, fig13, fig14, table4, table6, ablation, sharedindex, all")
 		size    = flag.String("size", "16MB", "dataset size (e.g. 64MB)")
 		workers = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		seed    = flag.Int64("seed", 42, "dataset seed")
-		jsonOut = flag.String("json", "", "write the machine-readable report of the store, filter, trace or ondemand experiment to this file (e.g. BENCH_6.json)")
 		version = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -75,13 +68,9 @@ func main() {
 		"table6":      h.table6,
 		"ablation":    h.ablation,
 		"sharedindex": h.sharedindex,
-		"store":       func() { h.store(*jsonOut) },
-		"filter":      func() { h.filter(*jsonOut) },
-		"trace":       func() { h.trace(*jsonOut) },
-		"ondemand":    func() { h.ondemand(*jsonOut) },
 	}
 	if *exp == "all" {
-		for _, name := range []string{"table4", "fig10", "fig11", "fig12", "fig13", "fig14", "table6", "ablation", "sharedindex", "store", "filter", "trace", "ondemand"} {
+		for _, name := range []string{"table4", "fig10", "fig11", "fig12", "fig13", "fig14", "table6", "ablation", "sharedindex"} {
 			exps[name]()
 		}
 		return

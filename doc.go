@@ -198,16 +198,10 @@ func (d *Document) Stats() Stats {
 // compiled queries: subsequent navigation logs up to maxEvents
 // fast-forward movements (DefaultTraceEvents when maxEvents <= 0),
 // retrievable via Stats().Trace(). The log accumulates across
-// Reset/ResetIndexed until NoExplain or a fresh Explain call.
+// Reset/ResetIndexed until a fresh Explain call.
 func (d *Document) Explain(maxEvents int) {
 	d.tr = telemetry.NewTrace(maxEvents)
 	d.nav.SetTrace(d.tr)
-}
-
-// NoExplain turns explain-mode recording off.
-func (d *Document) NoExplain() {
-	d.tr = nil
-	d.nav.SetTrace(nil)
 }
 
 // Value is one lazily navigated JSON value. Values are cheap handles:

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"jsonski/internal/gen"
+	"jsonski/internal/telemetry"
 )
 
 // nullWriter is a ResponseWriter that discards the body, so benchmarks
@@ -102,15 +103,21 @@ func BenchmarkServerQuerySingleDoc(b *testing.B) {
 	}
 }
 
-// BenchmarkServerQueryStream measures the NDJSON streaming path of
-// /query and /multi: many small records per request, fanned across the
-// worker pool, with the response flushes counted as flushes/op.
-func BenchmarkServerQueryStream(b *testing.B) {
+// streamBody is the NDJSON body of the streaming benchmarks: 64 small
+// records.
+func streamBody() []byte {
 	var body bytes.Buffer
 	for i := 0; i < 64; i++ {
 		fmt.Fprintf(&body, `{"id":%d,"name":"rec-%04d","pad":"%s"}`+"\n", i, i, strings.Repeat("y", 80))
 	}
-	stream := body.Bytes()
+	return body.Bytes()
+}
+
+// BenchmarkServerQueryStream measures the NDJSON streaming path of
+// /query and /multi: many small records per request, fanned across the
+// worker pool, with the response flushes counted as flushes/op.
+func BenchmarkServerQueryStream(b *testing.B) {
+	stream := streamBody()
 	for _, bm := range []struct{ name, target string }{
 		{"query", "/query?path=$.name"},
 		{"multi", "/multi?path=$.name&path=$.id"},
@@ -128,6 +135,38 @@ func BenchmarkServerQueryStream(b *testing.B) {
 				flushes += w.flushes
 			}
 			b.ReportMetric(float64(flushes)/float64(b.N), "flushes/op")
+		})
+	}
+}
+
+// BenchmarkServerTraced is BenchmarkServerQueryStream's /query request
+// with tracing off, sampled at 0.1 and always on, so it times the
+// daemon's own span path: one root span per request and runRecord's
+// engine spans. No exporter drains the ring, so spans that overflow it
+// are dropped and the benchmark times the request path alone.
+func BenchmarkServerTraced(b *testing.B) {
+	stream := streamBody()
+	for _, mode := range []struct {
+		name  string
+		ratio float64
+	}{{"off", 0}, {"sampled", 0.1}, {"always", 1}} {
+		b.Run(mode.name, func(b *testing.B) {
+			cfg := Config{Workers: 2, IndexCacheBytes: -1}
+			if mode.ratio > 0 {
+				cfg.Tracer = telemetry.NewTracer(telemetry.TracerConfig{SampleRatio: mode.ratio})
+			}
+			s, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(s.Close)
+			b.ReportAllocs()
+			b.SetBytes(int64(len(stream)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest("POST", "/query?path=$.name", bytes.NewReader(stream))
+				s.ServeHTTP(&nullWriter{}, req)
+			}
 		})
 	}
 }

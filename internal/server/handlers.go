@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"mime"
 	"net/http"
 	"strconv"
@@ -213,7 +214,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, ev evaluator) {
 		s.serveSingle(w, r, ev)
 		return
 	}
-	s.streamRecords(w, r, s.requestBody(w, r), ev)
+	s.streamRecords(w, r, s.requestBody(r), ev)
 }
 
 // explainEvent is one trailer event: a public trace event tagged with
@@ -524,9 +525,17 @@ func (s *Server) streamRecords(w http.ResponseWriter, r *http.Request, body io.R
 	// the wire. The goroutine owns r.Body until it sees EOF, a read
 	// error, or ctx done — the handler joins on readDone before
 	// returning, so the body is never touched after ServeHTTP exits.
+	// It reads no further than the size cap: the read that trips the
+	// cap (ServeHTTP's http.MaxBytesReader) tells net/http so through
+	// the response writer, unsynchronized with the handler's writes, so
+	// the handler makes that read itself once it has joined the reader.
+	capped := &io.LimitedReader{R: body, N: s.cfg.MaxBodyBytes}
+	if capped.N <= 0 {
+		capped.N = math.MaxInt64
+	}
 	batches := make(chan *batch)
 	readDone := make(chan error, 1)
-	go func() { readDone <- readBatches(ctx, body, batches) }()
+	go func() { readDone <- readBatches(ctx, capped, batches) }()
 
 	window := make([]*batch, 0, depth)
 	wroteAny := false
@@ -610,6 +619,14 @@ loop:
 		}
 	}
 	readErr := <-readDone
+	if readErr == nil && capped.N == 0 {
+		// The reader stopped at the cap: one more byte trips it, unless
+		// the body ends exactly there.
+		var one [1]byte
+		if _, err := io.ReadFull(body, one[:]); err != io.EOF {
+			readErr = err
+		}
+	}
 	switch {
 	case errors.Is(submitErr, errPoolClosed):
 		// Already reported.

@@ -77,8 +77,8 @@ type Config struct {
 	// jsonski.DefaultCacheSize.
 	CacheSize int
 	// MaxBodyBytes caps a single request body; an NDJSON stream that
-	// exceeds it is cut off mid-request with an error. 0 means 1 GiB,
-	// negative means unlimited.
+	// exceeds it is cut off mid-request with an error, and either way
+	// the connection closes. 0 means 1 GiB, negative means unlimited.
 	MaxBodyBytes int64
 	// IndexCacheBytes bounds the structural-index LRU used for
 	// single-document requests: repeated queries over the same hot
@@ -204,6 +204,13 @@ func New(cfg Config) (*Server, error) {
 // slow-query log.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
+	if s.cfg.MaxBodyBytes > 0 {
+		// The cap wraps net/http's own writer, not sw: MaxBytesReader
+		// reports a tripped limit through a method of that writer which
+		// a wrapper hides, and only then does net/http close the
+		// connection instead of reusing it after a body it never read.
+		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	}
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 	evalPath := r.URL.Path == "/query" || r.URL.Path == "/multi" || r.URL.Path == "/doc"
 	var dur time.Duration
@@ -320,14 +327,11 @@ func (s *Server) write(w io.Writer, b []byte) {
 	s.m.counts[bytesOut].Add(int64(n))
 }
 
-// requestBody is the one reader of a request body: r.Body under the
-// configured size bound, counted into io.bytes_in.
-func (s *Server) requestBody(w http.ResponseWriter, r *http.Request) io.Reader {
-	var body io.Reader = r.Body
-	if s.cfg.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	}
-	return &countingReader{r: body, n: &s.m.counts[bytesIn]}
+// requestBody is the one reader of a request body: r.Body, which
+// ServeHTTP has put under the configured size bound, counted into
+// io.bytes_in.
+func (s *Server) requestBody(r *http.Request) io.Reader {
+	return &countingReader{r: r.Body, n: &s.m.counts[bytesIn]}
 }
 
 // reject answers a request refused before its body was read. It reads
@@ -336,7 +340,7 @@ func (s *Server) requestBody(w http.ResponseWriter, r *http.Request) io.Reader {
 // handler returns and then closes the connection, so a client still
 // uploading a larger body would get a broken pipe instead of the error.
 func (s *Server) reject(w http.ResponseWriter, r *http.Request, status int, err error) {
-	_, _ = io.Copy(io.Discard, s.requestBody(w, r))
+	_, _ = io.Copy(io.Discard, s.requestBody(r))
 	s.jsonError(w, status, err)
 }
 
@@ -416,7 +420,7 @@ func (bb *bodyBuf) fill(body io.Reader, declared int64) error {
 // the error response and returns nil.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) *bodyBuf {
 	bb := bodyPool.Get().(*bodyBuf)
-	if err := bb.fill(s.requestBody(w, r), r.ContentLength); err != nil {
+	if err := bb.fill(s.requestBody(r), r.ContentLength); err != nil {
 		putBodyBuf(bb)
 		s.jsonError(w, requestStatus(err), err)
 		return nil

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -215,22 +216,115 @@ func TestQueryMalformedRecordBecomesErrorLineAndStreamContinues(t *testing.T) {
 	}
 }
 
+// TestQueryOversizedBody posts bodies past the cap in both modes: a
+// single record answers 413, and an NDJSON stream whose first record
+// fits streams it and ends with an error line. Either way the cap must
+// end the connection, never hand it back for reuse with the rest of the
+// body unread: that reuse made a full-duplex stream panic with an
+// invalid concurrent Body.Read, which net/http logs as "panic serving".
+// The 413 also says so in its header; the stream's header may already
+// be out when the cap trips.
 func TestQueryOversizedBody(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxBodyBytes: 64})
+	s, err := New(Config{Workers: 1, MaxBodyBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errLog syncBuffer
+	// The hook runs on the server's goroutines and must not block them:
+	// 64 holds every transition of the test's two connections and more.
+	states := make(chan http.ConnState, 64)
+	ts := httptest.NewUnstartedServer(s)
+	ts.Config.ErrorLog = log.New(&errLog, "", 0)
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) { states <- st }
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+
+	// send posts body on a connection of its own, reads the response
+	// and waits for the server to close the connection.
+	send := func(name, contentType, body string) (*http.Response, string) {
+		t.Helper()
+		tr := &http.Transport{}
+		defer tr.CloseIdleConnections()
+		resp, err := (&http.Client{Transport: tr}).Post(
+			ts.URL+"/query?path="+url.QueryEscape("$.v"), contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			select {
+			case st := <-states:
+				switch st {
+				case http.StateIdle:
+					t.Fatalf("%s: connection went idle for reuse", name)
+				case http.StateClosed:
+					return resp, string(out)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: connection still open", name)
+			}
+		}
+	}
+
 	big := `{"v": "` + strings.Repeat("x", 200) + `"}`
-	code, _ := post(t, ts.URL+"/query?path="+url.QueryEscape("$.v"), "application/json", big)
-	if code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("single-record status = %d", code)
+	resp, _ := send("single record", "application/json", big)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !resp.Close {
+		t.Fatalf("single record: status %d, Connection: close %t", resp.StatusCode, resp.Close)
 	}
 	// NDJSON mode: the first record fits and streams; the limit trips
 	// mid-body and must surface as a trailing error line.
-	in := `{"v": 1}` + "\n" + big + "\n"
-	code, body := post(t, ts.URL+"/query?path="+url.QueryEscape("$.v"), "", in)
-	if code != http.StatusOK {
-		t.Fatalf("ndjson status = %d (%s)", code, body)
+	resp, body := send("ndjson", "", `{"v": 1}`+"\n"+big+"\n")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ndjson status = %d (%s)", resp.StatusCode, body)
 	}
 	if !strings.Contains(body, `{"record":0,"value":1}`) || !strings.Contains(body, `"error"`) {
 		t.Fatalf("ndjson body = %q", body)
+	}
+	if out := errLog.String(); strings.Contains(out, "panic serving") {
+		t.Fatalf("server error log:\n%s", out)
+	}
+}
+
+// TestQueryCapAfterFirstBatch trips the cap of an NDJSON stream after
+// its first record has gone to the handler: the body arrives in two
+// writes, a record that fits and then the rest. The read that trips
+// the cap tells net/http so through the response writer; made on the
+// body reader's goroutine it races the handler's first write, which
+// -race reports.
+func TestQueryCapAfterFirstBatch(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, MaxBodyBytes: 100})
+	first := `{"v": 1}` + "\n"
+	rest := `{"v": "` + strings.Repeat("x", 400) + `"}` + "\n"
+	for i := 0; i < 50; i++ {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST /query?path=$.v HTTP/1.1\r\nHost: jsonskid\r\nContent-Length: %d\r\n\r\n%s", len(first)+len(rest), first)
+		// A gap of 0-300 µs moves the trip across the handler's first
+		// write, so -race sees a trip made on the reader's goroutine
+		// overlap it.
+		time.Sleep(time.Duration(i%7) * 50 * time.Microsecond)
+		if _, err := io.WriteString(conn, rest); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		conn.Close()
+		if err != nil || resp.StatusCode != http.StatusOK ||
+			!strings.HasPrefix(string(body), `{"record":0,"value":1}`) || !strings.Contains(string(body), "request body too large") {
+			t.Fatalf("status %d body %q err %v", resp.StatusCode, body, err)
+		}
 	}
 }
 
