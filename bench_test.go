@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
@@ -680,12 +679,10 @@ func BenchmarkMultiQuery(b *testing.B) {
 }
 
 // BenchmarkRepeatedDocument measures the hot-document scenario behind
-// the server's index tiers: the same buffer queried again and again.
+// the server's index cache: the same buffer queried again and again.
 // lazy re-runs the word pipeline every time; indexed streams over a
 // prebuilt index; index-cache adds the IndexCache's hash + lookup on
-// top, and catalog the persistent Catalog's over mapped masks.
-// index-build is the cost a miss pays, and sidecar-load is a cold
-// start's alternative to it: map and validate a saved index, then query.
+// top. index-build is the cost a miss pays.
 func BenchmarkRepeatedDocument(b *testing.B) {
 	data := largeData(b, "bb")
 	q := jsonski.MustCompile("$.pd[*].cp[1:3].id")
@@ -722,55 +719,10 @@ func BenchmarkRepeatedDocument(b *testing.B) {
 			ix.Release()
 		}
 	})
-	b.Run("catalog", func(b *testing.B) {
-		cat, err := jsonski.OpenCatalog(b.TempDir(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cat.Close()
-		ix, _, err := cat.Put(data, nil) // warm: every timed Get is a hit
-		if err != nil {
-			b.Fatal(err)
-		}
-		ix.Release()
-		b.SetBytes(int64(len(data)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ix, _ := cat.Get(data)
-			if ix == nil {
-				b.Fatal("catalog miss")
-			}
-			if _, err := q.RunIndexed(ix, nil); err != nil {
-				b.Fatal(err)
-			}
-			ix.Release()
-		}
-	})
 	b.Run("index-build", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
 			jsonski.BuildIndex(data).Release()
-		}
-	})
-	b.Run("sidecar-load", func(b *testing.B) {
-		side := filepath.Join(b.TempDir(), "doc"+jsonski.IndexExt)
-		ix := jsonski.BuildIndex(data)
-		err := jsonski.SaveIndex(side, ix, nil)
-		ix.Release()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(data)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ix, _, err := jsonski.LoadIndex(side)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := q.RunIndexed(ix, nil); err != nil {
-				b.Fatal(err)
-			}
-			ix.Release()
 		}
 	})
 }

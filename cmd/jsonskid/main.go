@@ -46,8 +46,6 @@ func main() {
 		cache       = flag.Int("cache", 0, "compiled-query cache capacity (0 = default)")
 		maxBody     = flag.Int64("max-body", 0, "request body byte cap (0 = 1 GiB, negative = unlimited)")
 		ixCache     = flag.Int64("index-cache", 0, "structural-index cache byte budget (0 = 64 MiB, negative = disabled)")
-		ixDir       = flag.String("index-dir", "", "persistent index catalog directory; warmed at startup, managed via /index (empty = disabled)")
-		ixDirCap    = flag.Int64("index-dir-bytes", 0, "on-disk byte budget for -index-dir sidecars (0 = 256 MiB)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
 		slowQuery   = flag.Duration("slow-query", 0, "log queries slower than this at WARN and always export their trace (0 = disabled)")
 		pprofFlag   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -80,8 +78,6 @@ func main() {
 		CacheSize:       *cache,
 		MaxBodyBytes:    *maxBody,
 		IndexCacheBytes: *ixCache,
-		IndexDir:        *ixDir,
-		IndexDirBytes:   *ixDirCap,
 		Logger:          logger,
 		SlowQuery:       *slowQuery,
 		Pprof:           *pprofFlag,
@@ -155,13 +151,7 @@ func newLogger(level string) (*slog.Logger, error) {
 // and finally close the trace exporter (which performs one last ring
 // drain, so spans of the final requests still reach the sinks).
 func serve(ctx context.Context, ln net.Listener, cfg server.Config, drain time.Duration, logger *slog.Logger, exporter *traceexport.Exporter) error {
-	s, err := server.New(cfg)
-	if err != nil {
-		if exporter != nil {
-			_ = exporter.Close()
-		}
-		return err
-	}
+	s := server.New(cfg)
 	if exporter != nil {
 		defer func() { _ = exporter.Close() }()
 	}
@@ -180,7 +170,7 @@ func serve(ctx context.Context, ln net.Listener, cfg server.Config, drain time.D
 	s.BeginShutdown()
 	sctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	err = hs.Shutdown(sctx)
+	err := hs.Shutdown(sctx)
 	if serr := <-errCh; !errors.Is(serr, http.ErrServerClosed) && err == nil {
 		err = serr
 	}

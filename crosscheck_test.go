@@ -691,13 +691,6 @@ func ctsEntryPoints() []ctsEntryPoint {
 			_, err := q.RunIndexed(ix, collect(&out))
 			return out, err
 		}},
-		{"RunIndexedWindow", true, func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
-			ix := jsonski.BuildIndex(data)
-			defer ix.Release()
-			var out []string
-			_, err := q.RunIndexedWindow(ix, 0, len(data), collect(&out))
-			return out, err
-		}},
 		{"All", true, func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
 			vals, err := q.All(data)
 			out := make([]string, len(vals))

@@ -54,10 +54,10 @@ func Open(data []byte) *Document {
 	return d
 }
 
-// OpenIndexed is Open over a prebuilt structural index (BuildIndex,
-// IndexCache, or a Catalog entry): navigation reads ix's materialized
-// masks instead of classifying words on the fly. The caller must hold
-// its reference on ix while the document is in use.
+// OpenIndexed is Open over a prebuilt structural index (BuildIndex or
+// IndexCache): navigation reads ix's materialized masks instead of
+// classifying words on the fly. The caller must hold its reference on
+// ix while the document is in use.
 func OpenIndexed(ix *Index) *Document {
 	d := &Document{}
 	d.ResetIndexed(ix)

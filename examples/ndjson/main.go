@@ -17,6 +17,7 @@ import (
 
 	"jsonski"
 	"jsonski/internal/gen"
+	"jsonski/internal/ndjson"
 )
 
 func main() {
@@ -30,9 +31,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, sp := range jsonski.RecordSpans(data) {
-			records = append(records, data[sp.Start:sp.End])
-		}
+		records = ndjson.Split(nil, data)
 	} else {
 		var err error
 		records, err = gen.GenerateRecords("wm", 4<<20, 3)

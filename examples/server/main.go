@@ -21,10 +21,7 @@ import (
 func main() {
 	// 1. Start the serving layer on a loopback port. In production use
 	//    `jsonskid -addr :8490` instead; server.New is the same engine.
-	s, err := server.New(server.Config{Workers: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
+	s := server.New(server.Config{Workers: 4})
 	defer s.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -41,12 +41,6 @@ func (x *Index) Len() int { return x.ix.Len() }
 // 9/8 of the input length. Useful for cache accounting.
 func (x *Index) MaskBytes() int { return x.ix.MaskBytes() }
 
-// Mapped reports whether the index's masks live in a memory-mapped (or
-// store-loaded) sidecar rather than the in-process mask pool. Mapped
-// indexes come from LoadIndex and Catalog; Release unpins the mapping
-// instead of recycling pool buffers.
-func (x *Index) Mapped() bool { return x.ix.Mapped() }
-
 // Acquire takes an additional reference on the index's mask buffer, for
 // handing the index to another goroutine with its own lifetime. Every
 // Acquire must be paired with a Release.

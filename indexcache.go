@@ -3,10 +3,10 @@ package jsonski
 import (
 	"bytes"
 	"container/list"
+	"encoding/binary"
 	"sync"
 
 	"jsonski/internal/bits"
-	"jsonski/internal/store"
 	"jsonski/internal/stream"
 )
 
@@ -75,9 +75,7 @@ func NewIndexCache(maxBytes int64) *IndexCache {
 // cached; the returned index is then recycled by the caller's Release
 // alone.
 func (ic *IndexCache) Get(data []byte) *Index {
-	// The key is the same ContentHash a Catalog files sidecars under, so
-	// the in-memory and on-disk tiers address documents identically.
-	h := store.ContentHash(data)
+	h := contentHash(data)
 	ic.mu.Lock()
 	if ix := ic.lookup(h, data); ix != nil {
 		ic.hits++
@@ -116,6 +114,29 @@ func (ic *IndexCache) Get(data []byte) *Index {
 	}
 	ic.mu.Unlock()
 	return ix
+}
+
+// contentHash is the cache's content key: an FNV-1a-style hash folding
+// eight bytes per round. Collisions are disambiguated by a full byte
+// comparison (lookup), so it needs determinism and spread, not collision
+// resistance; it sits on every single-document request's path, so it
+// runs at memory speed rather than one multiply per byte.
+func contentHash(data []byte) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for len(data) >= 8 {
+		h ^= binary.LittleEndian.Uint64(data)
+		h *= prime64
+		data = data[8:]
+	}
+	for _, b := range data {
+		h ^= uint64(b)
+		h *= prime64
+	}
+	return h
 }
 
 // indexCost is the memory a cached index of an n-byte document

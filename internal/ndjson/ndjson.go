@@ -1,7 +1,7 @@
 // Package ndjson frames newline-delimited JSON: a record is a non-blank
-// line, trimmed by bytes.TrimSpace. The library's readers, jsonskid and
-// the sidecar record table (jsonski.RecordSpans) all frame records here,
-// so they agree on every record and record index.
+// line, trimmed by bytes.TrimSpace. The library's readers and jsonskid
+// both frame records here, so they agree on every record and record
+// index.
 package ndjson
 
 import (

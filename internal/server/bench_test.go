@@ -79,10 +79,7 @@ func serveHot(s *Server, target string, doc []byte) int {
 
 func benchServer(b *testing.B) *Server {
 	b.Helper()
-	s, err := New(Config{Workers: 2, IndexCacheBytes: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := New(Config{Workers: 2, IndexCacheBytes: -1})
 	b.Cleanup(func() { s.Close() })
 	return s
 }
@@ -155,10 +152,7 @@ func BenchmarkServerTraced(b *testing.B) {
 			if mode.ratio > 0 {
 				cfg.Tracer = telemetry.NewTracer(telemetry.TracerConfig{SampleRatio: mode.ratio})
 			}
-			s, err := New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			s := New(cfg)
 			b.Cleanup(s.Close)
 			b.ReportAllocs()
 			b.SetBytes(int64(len(stream)))
@@ -180,10 +174,7 @@ func BenchmarkServerDocHot(b *testing.B) {
 	doc := hotDoc(b)
 	for _, ht := range hotTargets {
 		b.Run(ht.name, func(b *testing.B) {
-			s, err := New(Config{Workers: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
+			s := New(Config{Workers: 2})
 			b.Cleanup(s.Close)
 			if code := serveHot(s, ht.target, doc); code != http.StatusOK {
 				b.Fatalf("warm-up: status %d", code)

@@ -21,10 +21,7 @@ func TestSingleDocumentHitAllocatesNoBody(t *testing.T) {
 	doc := hotDoc(t)
 	for _, ht := range hotTargets {
 		t.Run(ht.name, func(t *testing.T) {
-			s, err := New(Config{Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := New(Config{Workers: 2})
 			defer s.Close()
 			if code := serveHot(s, ht.target, doc); code != http.StatusOK {
 				t.Fatalf("warm-up: status %d", code)

@@ -13,9 +13,8 @@ import (
 // compiles nothing — the dot path is walked hop by hop with the same
 // fast-forward movements a compiled query would use, and only the bytes
 // on the path to the requested value are touched. The body is resolved
-// through the same two index tiers as single-document /query requests
-// (persistent catalog, then in-memory index cache), so a repeat lookup
-// into a hot document navigates over prebuilt word masks.
+// through the same index cache as single-document /query requests, so a
+// repeat lookup into a hot document navigates over prebuilt word masks.
 func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 	s.m.counts[docRequests].Add(1)
 	path := r.URL.Query().Get("get")

@@ -272,7 +272,7 @@ func (t *explainTrail) line() []byte {
 // posts of the same document hit the cached masks. The body's pooled
 // buffer goes back when serveSingle returns: no slice of it outlives
 // the handler, since matches are rendered or flushed before then and
-// the index tiers keep their own copies of what they cache.
+// the index cache keeps its own copy of what it caches.
 func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, ev evaluator) {
 	bb, data := s.readDocument(w, r)
 	if bb == nil {
@@ -297,7 +297,7 @@ func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, ev evaluato
 			trace, err = ev.eval(buf, data, 0)
 		}
 	} else {
-		// Explain runs bypass the index tiers: the trace should describe
+		// Explain runs bypass the index cache: the trace should describe
 		// this evaluation's movements, not a cached index's.
 		trace, err = ev.eval(buf, data, 0)
 	}
@@ -317,42 +317,32 @@ func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, ev evaluato
 
 // lookupIndex resolves a single-document body to a structural index
 // (findIndex) under an index.lookup span tagged with the serving tier,
-// so a trace tells mask reuse from a rebuild. It returns nil when both
-// tiers are off; else the caller owns one reference.
+// so a trace tells a cached index from no index. It returns nil when the
+// index cache is off; else the caller owns one reference.
 func (s *Server) lookupIndex(rsp *telemetry.Span, data []byte) *jsonski.Index {
 	var hit indexHit
 	rsp.Child("index.lookup", func(sp *telemetry.Span) {
 		sp.SetInt("jsonski.document.bytes", int64(len(data)))
 		hit = s.findIndex(data)
-		if hit.tier != "" {
-			sp.SetString("jsonski.index.tier", hit.tier)
-		}
+		sp.SetString("jsonski.index.tier", hit.tier)
 	})
 	return hit.ix
 }
 
-// indexHit is the index found (nil on a miss) and the tier serving it.
+// indexHit is the index found (nil when the cache is off) and the tier
+// serving it.
 type indexHit struct {
 	ix   *jsonski.Index
 	tier string
 }
 
-// findIndex looks data up in the persistent catalog (a hit is a mapped
-// sidecar: masks shared page-cache-wide, no rebuild even across daemon
-// restarts), then in the in-memory index cache (builds on a miss).
+// findIndex looks data up in the index cache, which builds the index on
+// a miss; tier "none" means the cache is off.
 func (s *Server) findIndex(data []byte) indexHit {
-	if s.catalog != nil {
-		if ix, _ := s.catalog.Get(data); ix != nil {
-			return indexHit{ix, "catalog"}
-		}
+	if s.icache == nil {
+		return indexHit{tier: "none"}
 	}
-	if s.icache != nil {
-		if ix := s.icache.Get(data); ix != nil {
-			return indexHit{ix, "cache"}
-		}
-		return indexHit{}
-	}
-	return indexHit{tier: "none"}
+	return indexHit{s.icache.Get(data), "cache"}
 }
 
 // responseBufPool recycles the output buffers of the streaming
@@ -467,11 +457,16 @@ func (b *batch) run(eval recordEval) {
 	b.done <- struct{}{}
 }
 
-// readBatches frames an NDJSON body into batches (see ndjson.Reader) and
-// sends them on out in stream order, closing out when it returns. It
-// returns the read error (nil at EOF), or ctx's error if the handler
-// stopped taking batches.
-func readBatches(ctx context.Context, body io.Reader, out chan<- *batch) error {
+// readBatches frames an NDJSON body, read no further than its cap, into
+// batches (see ndjson.Reader) and sends them on out in stream order,
+// closing out when it returns. It returns the read error (nil at EOF),
+// or ctx's error if the handler stopped taking batches.
+//
+// A body read to its cap ends there whether or not its last record does.
+// So a last batch that reaches the cap without a newline, which is the
+// one record after the last newline, is held back, not sent: the handler
+// evaluates it once a read past the cap shows that the body ended there.
+func readBatches(ctx context.Context, body *io.LimitedReader, out chan<- *batch) (held *batch, err error) {
 	defer close(out)
 	rd := ndjson.NewReader(body)
 	for {
@@ -479,15 +474,19 @@ func readBatches(ctx context.Context, body io.Reader, out chan<- *batch) error {
 		if err := rd.Next(&b.Batch); err != nil {
 			putBatch(b)
 			if err == io.EOF {
-				return nil
+				err = nil
 			}
-			return err
+			return held, err
+		}
+		if body.N == 0 && b.Data[len(b.Data)-1] != '\n' {
+			held = b
+			continue
 		}
 		select {
 		case out <- b:
 		case <-ctx.Done():
 			putBatch(b)
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 }
@@ -534,8 +533,15 @@ func (s *Server) streamRecords(w http.ResponseWriter, r *http.Request, body io.R
 		capped.N = math.MaxInt64
 	}
 	batches := make(chan *batch)
-	readDone := make(chan error, 1)
-	go func() { readDone <- readBatches(ctx, capped, batches) }()
+	readDone := make(chan struct{})
+	var (
+		held    *batch
+		readErr error
+	)
+	go func() {
+		held, readErr = readBatches(ctx, capped, batches)
+		close(readDone)
+	}()
 
 	window := make([]*batch, 0, depth)
 	wroteAny := false
@@ -618,13 +624,24 @@ loop:
 			batchesOpen = false
 		}
 	}
-	readErr := <-readDone
+	<-readDone
 	if readErr == nil && capped.N == 0 {
 		// The reader stopped at the cap: one more byte trips it, unless
 		// the body ends exactly there.
 		var one [1]byte
 		if _, err := io.ReadFull(body, one[:]); err != io.EOF {
 			readErr = err
+		}
+	}
+	if held != nil {
+		// The record after the last newline is whole only if the body
+		// ended at the cap; cut by the cap, it is dropped unanswered.
+		if readErr == nil && submitErr == nil && ctx.Err() == nil {
+			held.run(ev.eval)
+			<-held.done
+			writeBatch(held)
+		} else {
+			putBatch(held)
 		}
 	}
 	switch {

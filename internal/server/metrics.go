@@ -175,8 +175,6 @@ type metricsSnapshot struct {
 		// scrape identifies the running build without shell access.
 		Version string `json:"version"`
 	} `json:"build"`
-	// Catalog reports the persistent index catalog (-index-dir).
-	Catalog catalogJSON `json:"catalog"`
 	// Trace reports the distributed-tracing pipeline (-trace-endpoint /
 	// -trace-file): span volume by sampling outcome and exporter health.
 	// Counters come from the tracer's own atomics via Tracer.Stats, not
@@ -192,43 +190,6 @@ type metricsSnapshot struct {
 		ExportBatches int64 `json:"export_batches"`
 		ExportErrors  int64 `json:"export_errors"`
 	} `json:"trace"`
-}
-
-// catalogJSON is the catalog section of the metrics snapshot and of
-// GET /index.
-type catalogJSON struct {
-	Enabled     bool    `json:"enabled"`
-	Hits        int64   `json:"hits"`
-	Misses      int64   `json:"misses"`
-	Opens       int64   `json:"opens"`
-	Builds      int64   `json:"builds"`
-	Evictions   int64   `json:"evictions"`
-	Invalidated int64   `json:"invalidated"`
-	Entries     int     `json:"entries"`
-	Bytes       int64   `json:"bytes"`
-	CapBytes    int64   `json:"cap_bytes"`
-	Mmap        bool    `json:"mmap"`
-	HitRate     float64 `json:"hit_rate"`
-}
-
-func catalogFrom(st jsonski.CatalogStats, enabled bool) catalogJSON {
-	out := catalogJSON{
-		Enabled:     enabled,
-		Hits:        st.Hits,
-		Misses:      st.Misses,
-		Opens:       st.Opens,
-		Builds:      st.Builds,
-		Evictions:   st.Evictions,
-		Invalidated: st.Invalidated,
-		Entries:     st.Entries,
-		Bytes:       st.Bytes,
-		CapBytes:    st.CapBytes,
-		Mmap:        st.Mapped,
-	}
-	if total := st.Hits + st.Misses; total > 0 {
-		out.HitRate = float64(st.Hits) / float64(total)
-	}
-	return out
 }
 
 // promSnapshot bundles everything the exposition surfaces derive their
@@ -331,10 +292,6 @@ func (s *Server) snapshot() promSnapshot {
 	out.Latency.Record = latencyFrom(out.recordLatency)
 	out.Latency.Doc = latencyFrom(out.docLatency)
 
-	if s.catalog != nil {
-		out.Catalog = catalogFrom(s.catalog.Stats(), true)
-	}
-
 	out.UptimeSeconds = time.Since(s.start).Seconds()
 	b := telemetry.BuildInfo()
 	out.Build.GoVersion = b.GoVersion
@@ -392,7 +349,7 @@ func (s *promSnapshot) families() []promFamily {
 	for g := range groups {
 		groups[g] = promValue{fastforward.Group(g).String(), &s.Engine.SkippedBytes[g]}
 	}
-	ic, cat, tr := &s.IndexCache, &s.Catalog, &s.Trace
+	ic, tr := &s.IndexCache, &s.Trace
 	return []promFamily{
 		{"jsonski_requests_total", "Requests served, by endpoint.", "counter", "endpoint", nil,
 			[]promValue{{"query", &s.Requests.Query}, {"multi", &s.Requests.Multi}, {"doc", &s.Requests.Doc}}},
@@ -425,14 +382,6 @@ func (s *promSnapshot) families() []promFamily {
 			[]promValue{{"hit", &ic.Hits}, {"miss", &ic.Misses}, {"eviction", &ic.Evictions}}},
 		{"jsonski_index_cache_bytes", "Bytes of documents resident in the structural-index cache.", "gauge", "", &ic.Enabled, one(&ic.Bytes)},
 		{"jsonski_index_cache_hit_ratio", "Structural-index cache hit ratio.", "gauge", "", &ic.Enabled, one(&ic.HitRate)},
-
-		{"jsonski_catalog_enabled", "Whether the persistent index catalog (-index-dir) is enabled.", "gauge", "", nil, one(&cat.Enabled)},
-		{"jsonski_catalog_events_total", "Persistent index catalog events.", "counter", "event", &cat.Enabled, []promValue{
-			{"hit", &cat.Hits}, {"miss", &cat.Misses}, {"open", &cat.Opens}, {"build", &cat.Builds},
-			{"eviction", &cat.Evictions}, {"invalidated", &cat.Invalidated}}},
-		{"jsonski_catalog_entries", "Serialized index sidecars resident in the catalog.", "gauge", "", &cat.Enabled, one(&cat.Entries)},
-		{"jsonski_catalog_bytes", "On-disk bytes of cataloged sidecars.", "gauge", "", &cat.Enabled, one(&cat.Bytes)},
-		{"jsonski_catalog_hit_ratio", "Catalog hit ratio on single-document queries.", "gauge", "", &cat.Enabled, one(&cat.HitRate)},
 
 		{"jsonski_workers", "Evaluation worker goroutines.", "gauge", "", nil, one(&s.Workers.Count)},
 		{"jsonski_worker_queue_depth", "Accepted-but-unstarted evaluation tasks (batches of NDJSON records).", "gauge", "", nil, one(&s.Workers.QueueDepth)},

@@ -19,14 +19,8 @@
 //	                         single value with the on-demand lazy API —
 //	                         no query compilation; the raw value span is
 //	                         returned verbatim, 404 when the path does
-//	                         not resolve. Indexed via the same catalog/
-//	                         cache tiers as single-document /query.
-//	POST /index              persist a document's structural index into
-//	                         the catalog (requires -index-dir); NDJSON
-//	                         bodies also persist their record table
-//	GET  /index              list cataloged sidecars and catalog stats
-//	GET  /index/{hash}       one cataloged sidecar's info
-//	DELETE /index/{hash}     drop a sidecar (safe while readers stream)
+//	                         not resolve. Indexed via the same index
+//	                         cache as single-document /query.
 //	GET  /metrics            live counters as JSON (see metricsSnapshot)
 //	GET  /metrics/prom       the same counters plus latency histograms in
 //	                         the Prometheus text exposition format
@@ -86,15 +80,6 @@ type Config struct {
 	// re-classifying the buffer. 0 means jsonski.DefaultIndexCacheBytes,
 	// negative disables the cache.
 	IndexCacheBytes int64
-	// IndexDir, when non-empty, enables the persistent index catalog:
-	// a directory of serialized index sidecars warmed at startup and
-	// managed through the /index endpoints. Single-document queries
-	// consult it before the in-memory index cache, so a restarted
-	// daemon serves repeated documents without rebuilding their masks.
-	IndexDir string
-	// IndexDirBytes bounds the catalog's on-disk footprint (LRU
-	// eviction unlinks the stalest sidecars). 0 means the store default.
-	IndexDirBytes int64
 	// Logger receives structured access and error logs. nil disables
 	// request logging entirely (the handlers never format log records).
 	Logger *slog.Logger
@@ -120,24 +105,20 @@ const DefaultMaxBodyBytes = 1 << 30
 // Server is the HTTP handler. Create with New, serve it with net/http,
 // and Close it after the HTTP server has drained.
 type Server struct {
-	cfg     Config
-	cache   *jsonski.Cache
-	icache  *jsonski.IndexCache // nil when disabled
-	catalog *jsonski.Catalog    // nil when no IndexDir is configured
-	pool    *workerPool
-	mux     *http.ServeMux
-	m       metrics
-	start   time.Time
-	down    atomic.Bool // readiness: set once shutdown begins
-	log     *slog.Logger
-	tracer  *telemetry.Tracer // nil when tracing is disabled
+	cfg    Config
+	cache  *jsonski.Cache
+	icache *jsonski.IndexCache // nil when disabled
+	pool   *workerPool
+	mux    *http.ServeMux
+	m      metrics
+	start  time.Time
+	down   atomic.Bool // readiness: set once shutdown begins
+	log    *slog.Logger
+	tracer *telemetry.Tracer // nil when tracing is disabled
 }
 
-// New builds a Server and starts its worker pool. It fails only when
-// Config.IndexDir is set and the catalog directory cannot be opened;
-// warming — mapping every valid sidecar already in the directory —
-// happens here, before the first request.
-func New(cfg Config) (*Server, error) {
+// New builds a Server and starts its worker pool.
+func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -159,32 +140,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.IndexCacheBytes >= 0 {
 		s.icache = jsonski.NewIndexCache(cfg.IndexCacheBytes)
 	}
-	if cfg.IndexDir != "" {
-		cat, err := jsonski.OpenCatalog(cfg.IndexDir, cfg.IndexDirBytes)
-		if err != nil {
-			s.pool.close()
-			return nil, err
-		}
-		s.catalog = cat
-		if s.log != nil {
-			st := cat.Stats()
-			s.log.Info("index catalog warmed",
-				"dir", cat.Dir(),
-				"entries", st.Entries,
-				"bytes", st.Bytes,
-				"invalidated", st.Invalidated,
-				"mmap", st.Mapped,
-			)
-		}
-	}
 	s.mux.HandleFunc("POST /query", s.handleQuery)
 	s.mux.HandleFunc("POST /multi", s.handleMulti)
 	s.mux.HandleFunc("GET /doc", s.handleDoc)
 	s.mux.HandleFunc("POST /doc", s.handleDoc)
-	s.mux.HandleFunc("POST /index", s.handleIndexPut)
-	s.mux.HandleFunc("GET /index", s.handleIndexList)
-	s.mux.HandleFunc("GET /index/{hash}", s.handleIndexGet)
-	s.mux.HandleFunc("DELETE /index/{hash}", s.handleIndexDelete)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /metrics/prom", s.handleProm)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -196,7 +155,7 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	return s, nil
+	return s
 }
 
 // ServeHTTP implements http.Handler: the mux wrapped with per-request
@@ -302,24 +261,14 @@ func (s *Server) Cache() *jsonski.Cache { return s.cache }
 // IndexCache exposes the structural-index cache, or nil when disabled.
 func (s *Server) IndexCache() *jsonski.IndexCache { return s.icache }
 
-// Catalog exposes the persistent index catalog, or nil when no
-// Config.IndexDir was configured.
-func (s *Server) Catalog() *jsonski.Catalog { return s.catalog }
-
 // BeginShutdown flips /readyz to 503 so load balancers stop routing new
 // work here. Call before http.Server.Shutdown; in-flight requests are
 // unaffected.
 func (s *Server) BeginShutdown() { s.down.Store(true) }
 
-// Close drains and stops the worker pool and detaches the catalog
-// (sidecars stay on disk for the next process to warm from). Call after
+// Close drains and stops the worker pool. Call after
 // http.Server.Shutdown has returned so no request can still submit work.
-func (s *Server) Close() {
-	s.pool.close()
-	if s.catalog != nil {
-		s.catalog.Close()
-	}
-}
+func (s *Server) Close() { s.pool.close() }
 
 // write sends b to the client, accounting bytes out.
 func (s *Server) write(w io.Writer, b []byte) {
@@ -354,7 +303,7 @@ const firstBodyChunk = 1 << 20
 type bodyBuf struct{ b []byte }
 
 // bodyPool recycles the buffers of whole-body reads (single-document
-// requests and /index PUTs) across requests.
+// requests) across requests.
 var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
 
 // poisonBodies, set by the package's tests, overwrites each body as its

@@ -19,10 +19,7 @@ import (
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s := New(cfg)
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()
@@ -140,7 +137,6 @@ func TestRejectionsReadLargeBody(t *testing.T) {
 		{"/query?path=" + url.QueryEscape("$["), http.StatusBadRequest},
 		{"/multi?explain=1&path=" + url.QueryEscape("$.v"), http.StatusBadRequest},
 		{"/doc", http.StatusBadRequest},
-		{"/index", http.StatusServiceUnavailable},
 	} {
 		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 		if err != nil {
@@ -218,17 +214,16 @@ func TestQueryMalformedRecordBecomesErrorLineAndStreamContinues(t *testing.T) {
 
 // TestQueryOversizedBody posts bodies past the cap in both modes: a
 // single record answers 413, and an NDJSON stream whose first record
-// fits streams it and ends with an error line. Either way the cap must
+// fits streams it and ends with an error line. The record the cap cuts
+// is not answered: it is not malformed, only cut, so it gets no error
+// line of its own and no count in record_errors. Either way the cap must
 // end the connection, never hand it back for reuse with the rest of the
 // body unread: that reuse made a full-duplex stream panic with an
 // invalid concurrent Body.Read, which net/http logs as "panic serving".
 // The 413 also says so in its header; the stream's header may already
 // be out when the cap trips.
 func TestQueryOversizedBody(t *testing.T) {
-	s, err := New(Config{Workers: 1, MaxBodyBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := New(Config{Workers: 1, MaxBodyBytes: 64})
 	var errLog syncBuffer
 	// The hook runs on the server's goroutines and must not block them:
 	// 64 holds every transition of the test's two connections and more.
@@ -279,16 +274,40 @@ func TestQueryOversizedBody(t *testing.T) {
 		t.Fatalf("single record: status %d, Connection: close %t", resp.StatusCode, resp.Close)
 	}
 	// NDJSON mode: the first record fits and streams; the limit trips
-	// mid-body and must surface as a trailing error line.
+	// mid-body, inside the second record, and must surface as a trailing
+	// error line alone.
+	reqErrs := s.m.counts[requestErrors].Load()
 	resp, body := send("ndjson", "", `{"v": 1}`+"\n"+big+"\n")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ndjson status = %d (%s)", resp.StatusCode, body)
 	}
-	if !strings.Contains(body, `{"record":0,"value":1}`) || !strings.Contains(body, `"error"`) {
-		t.Fatalf("ndjson body = %q", body)
+	if want := `{"record":0,"value":1}` + "\n" + `{"error":"http: request body too large"}` + "\n"; body != want {
+		t.Fatalf("ndjson body = %q, want %q", body, want)
+	}
+	if n := s.m.counts[recordErrors].Load(); n != 0 {
+		t.Fatalf("record_errors = %d after a cut record, want 0", n)
+	}
+	if n := s.m.counts[requestErrors].Load() - reqErrs; n != 1 {
+		t.Fatalf("the cut stream counted %d request errors, want 1 (the cap)", n)
 	}
 	if out := errLog.String(); strings.Contains(out, "panic serving") {
 		t.Fatalf("server error log:\n%s", out)
+	}
+}
+
+// TestQueryBodyAtCap posts an NDJSON body of exactly the cap whose last
+// record has no newline: the body ends where the cap does, so that
+// record is whole, and every record is answered with no error line.
+func TestQueryBodyAtCap(t *testing.T) {
+	body := `{"v": 1}` + "\n" + `{"v": 2}` + "\n" + `{"v": 3}`
+	s, ts := newTestServer(t, Config{Workers: 1, MaxBodyBytes: int64(len(body))})
+	code, out := post(t, ts.URL+"/query?path="+url.QueryEscape("$.v"), "", body)
+	want := `{"record":0,"value":1}` + "\n" + `{"record":1,"value":2}` + "\n" + `{"record":2,"value":3}` + "\n"
+	if code != http.StatusOK || out != want {
+		t.Fatalf("status %d body %q, want 200 and %q", code, out, want)
+	}
+	if n := s.m.counts[requestErrors].Load(); n != 0 {
+		t.Fatalf("request errors = %d, want 0", n)
 	}
 }
 

@@ -59,10 +59,7 @@ func wantLines(t *testing.T, recs []string, multi bool) (string, int) {
 // record indices counted across batches. A read error ends the answer
 // with an error line, after the lines of every record read before it.
 func TestStreamBatchBoundaries(t *testing.T) {
-	s, err := New(Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := New(Config{Workers: 2})
 	t.Cleanup(s.Close)
 	for _, tc := range ndjsontest.Cases() {
 		for _, ep := range []struct {
@@ -108,10 +105,7 @@ func (f *flushRecorder) Flush() {
 // arrives whole is flushed once per 64 KiB read (one more for the
 // record split across two reads), not once per record.
 func TestQueryStreamFlushesPerBatch(t *testing.T) {
-	s, err := New(Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := New(Config{Workers: 2})
 	t.Cleanup(s.Close)
 	const records = 256
 	var body bytes.Buffer

@@ -8,10 +8,10 @@ import (
 )
 
 // TestNoReadPastInput places inputs of every length from 0 to 130 so
-// they end exactly at a PROT_NONE page, as the last document of an
-// mmap'ed sidecar may, and runs the stage-1 classifier, the index build
-// and a lazy stream pass over each. A read of even one byte past the
-// input faults and kills the test binary.
+// they end exactly at a PROT_NONE page, as a caller's mmap'ed file may,
+// and runs the stage-1 classifier, the index build and a lazy stream
+// pass over each. A read of even one byte past the input faults and
+// kills the test binary.
 func TestNoReadPastInput(t *testing.T) {
 	page := syscall.Getpagesize()
 	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE,

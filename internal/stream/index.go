@@ -11,9 +11,7 @@ package stream
 // many times.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -36,9 +34,7 @@ const (
 	idxStride
 )
 
-// RowStride is the number of uint64 mask rows per 64-byte input word, in
-// the rows' file form too (WriteRows), so a change here is a file-format
-// change and must bump internal/store's format version.
+// RowStride is the number of uint64 mask rows per 64-byte input word.
 const RowStride = idxStride
 
 // metaRow maps a Meta to its row slot.
@@ -71,14 +67,6 @@ type Index struct {
 	words int
 	rows  []uint64
 	refs  atomic.Int32
-
-	// external marks an index whose rows are owned elsewhere (an mmap'ed
-	// file, a decoded snapshot): Release must never return them to
-	// rowPool, because the pool would hand borrowed — possibly unmapped —
-	// memory to a future NewIndex. onRelease, when set, runs after the
-	// final Release instead (typically dropping a mapping reference).
-	external  bool
-	onRelease func()
 }
 
 // NewIndex builds the structural index of data in one pass. The buffer
@@ -132,59 +120,6 @@ func NewIndex(data []byte) *Index {
 	return ix
 }
 
-// Rows is a rows section in its file form (as WriteRows wrote it,
-// typically a mapped section the caller owns), ready to back mapped
-// indexes: an 8-byte-aligned section is viewed in place on
-// little-endian hosts and decoded into a copy otherwise. Build it once
-// per section with ViewRows; every NewMappedIndex over it shares it.
-type Rows struct {
-	words []uint64
-	n     int // section length in bytes
-}
-
-// ViewRows prepares the rows section b for NewMappedIndex.
-func ViewRows(b []byte) Rows { return Rows{words: rowsView(b), n: len(b)} }
-
-// NewMappedIndex wraps the mask rows of data into an Index borrowing
-// streams can use exactly like a built one; the section's length is
-// validated against len(data). The rows are treated as immutable and
-// are never returned to the pool; onRelease, if non-nil, runs once
-// after the final Release (use it to unpin the mapping).
-func NewMappedIndex(data []byte, rows Rows, onRelease func()) (*Index, error) {
-	words := (len(data) + bits.WordSize - 1) / bits.WordSize
-	if rows.n != words*idxStride*8 {
-		return nil, fmt.Errorf("stream: mapped index geometry mismatch: %d row bytes for %d words (want %d)",
-			rows.n, words, words*idxStride*8)
-	}
-	ix := &Index{data: data, words: words, rows: rows.words, external: true, onRelease: onRelease}
-	ix.refs.Store(1)
-	return ix, nil
-}
-
-// decodeRows copies a little-endian rows section into a fresh uint64
-// slice, for big-endian hosts and misaligned sections.
-func decodeRows(b []byte) []uint64 {
-	rows := make([]uint64, len(b)/8)
-	for i := range rows {
-		rows[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return rows
-}
-
-// Mapped reports whether the index borrows externally owned rows (see
-// NewMappedIndex). A mapped index never touches the mask-buffer pool.
-func (ix *Index) Mapped() bool { return ix.external }
-
-// WriteRows writes the mask rows to w in their file form, RowStride
-// little-endian uint64s per 64-byte word; on little-endian hosts
-// straight from the row buffer. The io.Writer contract forbids w to
-// modify or retain the bytes, so the rows (shared, possibly a read-only
-// mapping) stay read-only outside this package.
-func (ix *Index) WriteRows(w io.Writer) error {
-	_, err := w.Write(rowsBytes(ix.rows))
-	return err
-}
-
 // Data returns the indexed buffer.
 func (ix *Index) Data() []byte { return ix.data }
 
@@ -221,14 +156,6 @@ func (ix *Index) Release() {
 	rows := ix.rows
 	ix.rows = nil
 	ix.data = nil
-	if ix.external {
-		// Externally owned rows (a mapping, a decoded snapshot) must not
-		// reach the pool; hand control back to the owner instead.
-		if ix.onRelease != nil {
-			ix.onRelease()
-		}
-		return
-	}
 	if rows != nil {
 		rows = rows[:0]
 		rowPool.Put(&rows)

@@ -39,9 +39,9 @@ func swarRows(data []byte) []uint64 {
 }
 
 // TestIndexRowsMatchSWAR checks that NewIndex, classifying with the
-// vector kernel, stores rows bit-identical to a SWAR-built index — the
-// rows a .jski sidecar holds. Every shift of the body moves its strings
-// and backslash runs (lengths 1 to 6) across a word edge.
+// vector kernel, stores rows bit-identical to a SWAR-built index. Every
+// shift of the body moves its strings and backslash runs (lengths 1 to
+// 6) across a word edge.
 func TestIndexRowsMatchSWAR(t *testing.T) {
 	if !bits.Vectorized() {
 		t.Skip("no AVX2 on this CPU: NewIndex already classifies with SWAR")

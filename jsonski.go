@@ -34,7 +34,6 @@
 package jsonski
 
 import (
-	"fmt"
 	"sync"
 
 	"jsonski/internal/automaton"
@@ -287,29 +286,7 @@ func (q *Query) RunIndexed(ix *Index, fn func(Match)) (Stats, error) {
 // buffer. The index must stay alive (not finally Released) for the
 // duration of the call.
 func (q *Query) RunIndexedSink(ix *Index, sink Sink) (Stats, error) {
-	return q.RunIndexedWindowSink(ix, 0, ix.Len(), sink)
-}
-
-// RunIndexedWindow evaluates the query over the [lo, hi) byte window of
-// an indexed buffer, treating the window as one complete JSON record.
-// The window borrows the whole-buffer masks — no per-record index build
-// or copy — which is how individual records of a serialized NDJSON
-// corpus (see LoadIndex, Catalog) are queried zero-copy: pass each
-// record's Span as the window. Match offsets are absolute positions in
-// the underlying buffer. The index must stay alive for the duration of
-// the call.
-func (q *Query) RunIndexedWindow(ix *Index, lo, hi int, fn func(Match)) (Stats, error) {
-	return q.RunIndexedWindowSink(ix, lo, hi, fnSink(fn))
-}
-
-// RunIndexedWindowSink is RunIndexedWindow delivering into a Sink.
-func (q *Query) RunIndexedWindowSink(ix *Index, lo, hi int, sink Sink) (Stats, error) {
-	// Every indexed entry point comes through here, so this is the one
-	// check that the window lies inside the index; the sink is not called.
-	if lo < 0 || lo > hi || hi > ix.Len() {
-		return Stats{}, fmt.Errorf("jsonski: window [%d, %d) is outside the index's %d bytes", lo, hi, ix.Len())
-	}
-	return single(indexed(ix, lo, hi), newSinkRun(sink), q.eval)
+	return single(indexed(ix, 0, ix.Len()), newSinkRun(sink), q.eval)
 }
 
 // Count returns the number of matches in data.

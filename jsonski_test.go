@@ -294,50 +294,3 @@ func TestDescendantDuplicateNamesFollowFirst(t *testing.T) {
 		}
 	}
 }
-
-// TestRunIndexedWindowBounds checks that a window outside the index is
-// an error naming the window and the index length, delivered before any
-// evaluation, while in-range windows, empty ones included, behave like
-// Run over the same bytes.
-func TestRunIndexedWindowBounds(t *testing.T) {
-	data := []byte(`{"a":[1,2,3],"b":{"c":4}}`)
-	q := MustCompile("$.a[*]")
-	ix := BuildIndex(data)
-	defer ix.Release()
-	for _, tc := range []struct {
-		lo, hi  int
-		inRange bool
-	}{
-		{-1, 3, false},
-		{0, 35, false},
-		{10, 5, false},
-		{0, len(data), true},
-		{10, 10, true},
-	} {
-		name := fmt.Sprintf("[%d,%d)", tc.lo, tc.hi)
-		var got []string
-		st, err := q.RunIndexedWindow(ix, tc.lo, tc.hi, func(m Match) { got = append(got, string(m.Value)) })
-		if !tc.inRange {
-			want := fmt.Sprintf("window [%d, %d) is outside the index's %d bytes", tc.lo, tc.hi, len(data))
-			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("%s: err = %v, want one containing %q", name, err, want)
-			}
-			if got != nil || st != (Stats{}) {
-				t.Fatalf("%s: out-of-range window evaluated: matches %q, stats %+v", name, got, st)
-			}
-			var sink BufferSink
-			if _, err := q.RunIndexedWindowSink(ix, tc.lo, tc.hi, &sink); err == nil || sink.data != nil {
-				t.Fatalf("%s: sink run err = %v, sink begun = %v", name, err, sink.data != nil)
-			}
-			continue
-		}
-		var want []string
-		wantSt, wantErr := q.Run(data[tc.lo:tc.hi], func(m Match) { want = append(want, string(m.Value)) })
-		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-			t.Fatalf("%s: err = %v, Run gives %v", name, err, wantErr)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) || st.Matches != wantSt.Matches || st.InputBytes != wantSt.InputBytes {
-			t.Fatalf("%s: matches %q (stats %+v), Run gives %q (stats %+v)", name, got, st, want, wantSt)
-		}
-	}
-}

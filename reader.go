@@ -13,9 +13,9 @@ import (
 
 // RunReader streams newline-delimited JSON records from r, evaluating the
 // query against each record as soon as the read that completes it
-// returns. Records are the non-blank lines of r, whitespace-trimmed, as
-// RecordSpans frames them. Match.Value aliases an internal read buffer
-// that remains valid only for the duration of the callback.
+// returns. Records are the non-blank lines of r, trimmed by
+// bytes.TrimSpace. Match.Value aliases an internal read buffer that
+// remains valid only for the duration of the callback.
 //
 // This is the record-sequence scenario of the paper (Figures 11 and 12)
 // lifted from preloaded buffers to a true input stream. r is read in
