@@ -863,7 +863,7 @@ func BenchmarkRunLargeExplain(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cq.RunExplain(data, 0, nil); err != nil {
+		if _, err := cq.RunSinkExplain(data, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,9 +9,8 @@
 //
 // With -records the input is treated as newline-delimited JSON (one
 // record per line), streamed rather than slurped, and -workers enables
-// parallel record processing; -stats then includes per-record latency
-// quantiles. -workers applies to nothing else: with a single document
-// or -get, a value other than 1 is an error.
+// parallel record processing. -workers applies to nothing else: with a
+// single document or -get, a value other than 1 is an error.
 // With -explain (single-document input only) the fast-forward
 // movements are dumped to stderr: which function skipped which byte
 // range, charged to which paper group, in which automaton state.
@@ -143,7 +142,7 @@ func run(ctx context.Context, query, get string, countOnly, showStats, records b
 			return err
 		}
 		if explain {
-			st, err = q.RunExplain(data, 0, emit)
+			st, err = q.RunSinkExplain(data, sink, 0)
 		} else {
 			st, err = q.RunSink(data, sink)
 		}
@@ -190,10 +189,6 @@ func printStats(st jsonski.Stats, elapsed time.Duration) {
 		skipRatio = float64(skipped) / float64(st.InputBytes)
 	}
 	fmt.Fprintf(os.Stderr, "scanned: %d bytes, skip ratio %.4f\n", scanned, skipRatio)
-	if lat := st.Latency(); lat != nil {
-		fmt.Fprintf(os.Stderr, "record latency: p50 %v  p90 %v  p99 %v  max %v (%d records)\n",
-			lat.P50(), lat.P90(), lat.P99(), lat.Max(), lat.Count)
-	}
 }
 
 // runGet evaluates an on-demand dot path over a single document: the

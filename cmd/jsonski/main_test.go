@@ -9,8 +9,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"strings"
 	"testing"
+
+	"jsonski"
 )
 
 func TestRunOnFile(t *testing.T) {
@@ -155,6 +158,119 @@ func TestRunGet(t *testing.T) {
 	if err := run(ctx, "", "a.b[", false, false, false, 1, false, []string{f}); err == nil {
 		t.Fatal("malformed path should error")
 	}
+}
+
+// TestRunStatsAndExplainOutput reads what -stats and -explain print.
+// -stats renders the fast-forward accounting block to stderr, one line
+// per figure and one per group, for a single document and for streamed
+// records, serial and parallel alike. -explain leaves stdout as the
+// plain run prints it, -count included, and dumps the movement trace to
+// stderr.
+func TestRunStatsAndExplainOutput(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	docData := []byte(`{"pad": {"x": [1, 2, 3]}, "items": [{"id": 1, "tag": "a"}, {"id": 2}, {"id": 3, "tag": "c"}]}`)
+	doc := filepath.Join(dir, "in.json")
+	if err := os.WriteFile(doc, docData, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs := filepath.Join(dir, "in.ndjson")
+	if err := os.WriteFile(recs, []byte("{\"id\": 1}\n{\"x\": [1], \"id\": 2}\n\n{\"id\": 3}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const docQuery = "$.items[*].id"
+	st, err := jsonski.MustCompile(docQuery).RunSinkExplain(docData, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump strings.Builder
+	st.Trace().Dump(&dump)
+	if dump.Len() == 0 {
+		t.Fatal("the explain run recorded no movements")
+	}
+
+	statsLines := []string{"matches: 3", "input: ", "fast-forwarded: ",
+		"  G1: ", "  G2: ", "  G3: ", "  G4: ", "  G5: ", "scanned: "}
+	for _, c := range []struct {
+		name                           string
+		query                          string
+		count, stats, records, explain bool
+		workers                        int
+		input                          string
+		stdout                         string // lines sorted
+	}{
+		{name: "-stats single document", query: docQuery, stats: true, workers: 1, input: doc, stdout: "1\n2\n3\n"},
+		{name: "-stats -records -workers 1", query: "$.id", stats: true, records: true, workers: 1, input: recs, stdout: "1\n2\n3\n"},
+		{name: "-stats -records -workers 2", query: "$.id", stats: true, records: true, workers: 2, input: recs, stdout: "1\n2\n3\n"},
+		{name: "-explain", query: docQuery, explain: true, workers: 1, input: doc, stdout: "1\n2\n3\n"},
+		{name: "-count -explain", query: docQuery, count: true, explain: true, workers: 1, input: doc, stdout: "3\n"},
+	} {
+		call := func(explain bool) (string, string) {
+			stdout, stderr, err := captureOutput(t, func() error {
+				return run(ctx, c.query, "", c.count, c.stats, c.records, c.workers, explain, []string{c.input})
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return stdout, stderr
+		}
+		stdout, stderr := call(c.explain)
+		lines := strings.SplitAfter(stdout, "\n")
+		sort.Strings(lines)
+		if got := strings.Join(lines, ""); got != c.stdout {
+			t.Errorf("%s: stdout %q, want %q", c.name, stdout, c.stdout)
+		}
+		if c.explain {
+			if plain, _ := call(false); stdout != plain {
+				t.Errorf("%s: stdout %q, the plain run's %q", c.name, stdout, plain)
+			}
+			if stderr != dump.String() {
+				t.Errorf("%s: stderr\n%s\nwant the trace dump\n%s", c.name, stderr, dump.String())
+			}
+		}
+		if c.stats {
+			got := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
+			if len(got) != len(statsLines) {
+				t.Errorf("%s: stderr has %d lines, want %d:\n%s", c.name, len(got), len(statsLines), stderr)
+				continue
+			}
+			for i, prefix := range statsLines {
+				if !strings.HasPrefix(got[i], prefix) {
+					t.Errorf("%s: stderr line %d is %q, want it to start %q", c.name, i, got[i], prefix)
+				}
+			}
+		}
+	}
+}
+
+// captureOutput runs call with os.Stdout and os.Stderr sent to files, and
+// returns what it printed on each.
+func captureOutput(t *testing.T, call func() error) (stdout, stderr string, err error) {
+	t.Helper()
+	dir := t.TempDir()
+	var files [2]*os.File
+	for i, name := range []string{"stdout", "stderr"} {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		files[i] = f
+	}
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = files[0], files[1]
+	func() {
+		defer func() { os.Stdout, os.Stderr = oldOut, oldErr }()
+		err = call()
+	}()
+	var out [2][]byte
+	for i, f := range files {
+		var rerr error
+		if out[i], rerr = os.ReadFile(f.Name()); rerr != nil {
+			t.Fatal(rerr)
+		}
+	}
+	return string(out[0]), string(out[1]), err
 }
 
 // inputKinds are the three ways the CLI gets one input file: as a path

@@ -535,10 +535,6 @@ func TestQuerySetReaderAgreesWithDOMPerQuery(t *testing.T) {
 			_, err := qs.RunReaderContext(context.Background(), bytes.NewReader(ndjson), fn)
 			return err
 		})
-		run("QuerySet.RunReader", func(fn func(jsonski.SetMatch)) error {
-			_, err := qs.RunReader(bytes.NewReader(ndjson), fn)
-			return err
-		})
 		run("QuerySet.Run", perRecord(func(rec []byte, fn func(jsonski.SetMatch)) error {
 			_, err := qs.Run(rec, fn)
 			return err
@@ -708,9 +704,13 @@ func ctsEntryPoints() []ctsEntryPoint {
 			_, err = qs.Run(data, func(m jsonski.SetMatch) { out = append(out, string(m.Value)) })
 			return out, err
 		}},
-		{"RunExplain", true, func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
-			var out []string
-			_, err := q.RunExplain(data, 0, collect(&out))
+		{"RunSinkExplain", true, func(q *jsonski.Query, _ string, data []byte) ([]string, error) {
+			var sink jsonski.BufferSink
+			_, err := q.RunSinkExplain(data, &sink, 0)
+			out := make([]string, len(sink.Values))
+			for i, v := range sink.Values {
+				out[i] = string(v)
+			}
 			return out, err
 		}},
 		{"baseline/domparser", true, func(_ *jsonski.Query, sel string, data []byte) ([]string, error) {

@@ -194,7 +194,7 @@ func (d *Document) Stats() Stats {
 	return out
 }
 
-// Explain turns on explain-mode recording, as RunExplain does for
+// Explain turns on explain-mode recording, as RunSinkExplain does for
 // compiled queries: subsequent navigation logs up to maxEvents
 // fast-forward movements (DefaultTraceEvents when maxEvents <= 0),
 // retrievable via Stats().Trace(). The log accumulates across

@@ -1,6 +1,7 @@
 package jsonski_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -32,12 +33,12 @@ func ExampleQuery_Count() {
 	// Output: 2
 }
 
-func ExampleQuery_RunReader() {
+func ExampleQuery_RunReaderContext() {
 	q := jsonski.MustCompile("$.level")
 	ndjson := `{"level": "info", "msg": "a"}
 {"level": "error", "msg": "b"}
 `
-	q.RunReader(strings.NewReader(ndjson), func(m jsonski.Match) {
+	q.RunReaderContext(context.Background(), strings.NewReader(ndjson), func(m jsonski.Match) {
 		fmt.Printf("record %d: %s\n", m.Record, m.String())
 	})
 	// Output:

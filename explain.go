@@ -35,8 +35,8 @@ type Trace struct {
 	Dropped int `json:"dropped,omitempty"`
 }
 
-// DefaultTraceEvents is the event cap used when RunExplain is given a
-// non-positive limit.
+// DefaultTraceEvents is the event cap used when an explain run is given
+// a non-positive limit.
 const DefaultTraceEvents = telemetry.DefaultTraceLimit
 
 // SkippedBytes sums the bytes covered by the recorded events.
@@ -60,22 +60,14 @@ func (t *Trace) Dump(w io.Writer) {
 	}
 }
 
-// RunExplain is Run in explain mode: alongside the usual statistics it
-// records up to maxEvents fast-forward movements (DefaultTraceEvents
-// when maxEvents <= 0), retrievable via Stats.Trace. Explain runs use
-// the same engines and produce the same matches; only the recording
-// differs, so a slow query can be re-run verbatim to see why it moved
-// the way it did.
-func (q *Query) RunExplain(data []byte, maxEvents int, fn func(Match)) (Stats, error) {
-	return q.RunSinkExplain(data, fnSink(fn), maxEvents)
-}
-
 // RunSinkExplain is RunSink in explain mode: matches stream into sink
 // exactly as in RunSink while up to maxEvents fast-forward movements
 // (DefaultTraceEvents when maxEvents <= 0) are recorded, retrievable via
-// Stats.Trace. This is the entry point the daemon uses for sampled
-// requests: the movement log becomes span events without disturbing the
-// streaming output path.
+// Stats.Trace. Explain runs use the same engines and produce the same
+// matches; only the recording differs, so a slow query can be re-run
+// verbatim to see why it moved the way it did. This is also the entry
+// point the daemon uses for sampled requests: the movement log becomes
+// span events without disturbing the streaming output path.
 func (q *Query) RunSinkExplain(data []byte, sink Sink, maxEvents int) (Stats, error) {
 	return single(input{data: data}, explainRun(sink, maxEvents), q.eval)
 }

@@ -22,7 +22,7 @@ var explainDoc = []byte(`{"alpha": {"x": 1, "y": [1, 2, 3]}, "beta": [10, 20, 30
 // accident.
 func TestExplainGolden(t *testing.T) {
 	q := jsonski.MustCompile("$.gamma.target")
-	st, err := q.RunExplain(explainDoc, 0, nil)
+	st, err := q.RunSinkExplain(explainDoc, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +67,12 @@ func TestExplainGolden(t *testing.T) {
 func TestExplainMatchesRegularRun(t *testing.T) {
 	for _, path := range []string{"$.gamma.target", "$.alpha.y[1]", "$.beta[0:2]", "$..deep"} {
 		q := jsonski.MustCompile(path)
-		var plain, explained [][]byte
-		collect := func(out *[][]byte) func(jsonski.Match) {
-			return func(m jsonski.Match) {
-				*out = append(*out, append([]byte(nil), m.Value...))
-			}
-		}
-		st1, err1 := q.Run(explainDoc, collect(&plain))
-		st2, err2 := q.RunExplain(explainDoc, 0, collect(&explained))
+		var plain [][]byte
+		var explained jsonski.BufferSink
+		st1, err1 := q.Run(explainDoc, func(m jsonski.Match) {
+			plain = append(plain, append([]byte(nil), m.Value...))
+		})
+		st2, err2 := q.RunSinkExplain(explainDoc, &explained, 0)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: errs %v / %v", path, err1, err2)
 		}
@@ -82,12 +80,12 @@ func TestExplainMatchesRegularRun(t *testing.T) {
 			st1.SkippedBytes != st2.SkippedBytes {
 			t.Fatalf("%s: stats diverge: %+v vs %+v", path, st1, st2)
 		}
-		if len(plain) != len(explained) {
-			t.Fatalf("%s: %d vs %d matches", path, len(plain), len(explained))
+		if len(plain) != len(explained.Values) {
+			t.Fatalf("%s: %d vs %d matches", path, len(plain), len(explained.Values))
 		}
 		for i := range plain {
-			if !bytes.Equal(plain[i], explained[i]) {
-				t.Fatalf("%s: match %d %q vs %q", path, i, plain[i], explained[i])
+			if !bytes.Equal(plain[i], explained.Values[i]) {
+				t.Fatalf("%s: match %d %q vs %q", path, i, plain[i], explained.Values[i])
 			}
 		}
 	}
@@ -98,7 +96,7 @@ func TestExplainMatchesRegularRun(t *testing.T) {
 // never scales with the input.
 func TestExplainBounded(t *testing.T) {
 	q := jsonski.MustCompile("$.gamma.target")
-	st, err := q.RunExplain(explainDoc, 3, nil)
+	st, err := q.RunSinkExplain(explainDoc, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +116,7 @@ func TestExplainBounded(t *testing.T) {
 func TestExplainNFAStateSet(t *testing.T) {
 	doc := []byte(`{"a": {"x": [1], "b": 2}, "c": 3}`)
 	q := jsonski.MustCompile("$..a.b")
-	st, err := q.RunExplain(doc, 0, nil)
+	st, err := q.RunSinkExplain(doc, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +138,7 @@ func TestExplainNFAStateSet(t *testing.T) {
 // TestExplainDump smoke-tests the CLI rendering.
 func TestExplainDump(t *testing.T) {
 	q := jsonski.MustCompile("$.gamma.target")
-	st, err := q.RunExplain(explainDoc, 0, nil)
+	st, err := q.RunSinkExplain(explainDoc, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +164,6 @@ func TestOrdinaryRunHasNoTrace(t *testing.T) {
 	if st.Trace() != nil {
 		t.Fatal("plain Run attached a trace")
 	}
-	if st.Latency() != nil {
-		t.Fatal("plain Run attached a latency snapshot")
-	}
 }
 
 // TestExplainFilterProbePlans pins the explain surface of the filter
@@ -185,7 +180,7 @@ func TestExplainFilterProbePlans(t *testing.T) {
 		`], "max": 10}`)
 
 	q := jsonski.MustCompile("$.items[?@.price < 10]")
-	st, err := q.RunExplain(doc, 0, nil)
+	st, err := q.RunSinkExplain(doc, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +209,7 @@ func TestExplainFilterProbePlans(t *testing.T) {
 	}
 
 	q2 := jsonski.MustCompile("$.items[?@.price < $.max]")
-	st2, err := q2.RunExplain(doc, 0, nil)
+	st2, err := q2.RunSinkExplain(doc, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,10 +166,6 @@ func (n *Navigator) Bind(data []byte) { n.prepare(data) }
 // caller must hold a reference on ix while navigating.
 func (n *Navigator) BindIndexed(ix *stream.Index) { n.prepareIndexed(ix) }
 
-// BindWindow is BindIndexed restricted to the single JSON value in
-// [lo, hi) of ix's buffer.
-func (n *Navigator) BindWindow(ix *stream.Index, lo, hi int) { n.prepareWindow(ix, lo, hi) }
-
 // Pos returns the current absolute cursor position.
 func (n *Navigator) Pos() int { return n.s.Pos() }
 

@@ -6,8 +6,12 @@
 package server
 
 import (
+	"bytes"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -44,5 +48,32 @@ func TestSingleDocumentHitAllocatesNoBody(t *testing.T) {
 				t.Errorf("index cache hits = %d, want %d", st.Hits, n)
 			}
 		})
+	}
+}
+
+// TestMultiAllocatesPerRecordNotPerMatch: /multi frames a match line
+// without allocating, whatever its record's index, so eight matches a
+// record cost no more allocations than one. Formatting the record
+// number with strconv.Itoa cost one allocation per match from record
+// 100 on.
+func TestMultiAllocatesPerRecordNotPerMatch(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	allocs := func(matches int) float64 {
+		var body bytes.Buffer
+		for i := 0; i < 200; i++ {
+			fmt.Fprintf(&body, "{\"a\": [%s]}\n", strings.TrimSuffix(strings.Repeat("1,", matches), ","))
+		}
+		return testing.AllocsPerRun(10, func() {
+			req := httptest.NewRequest("POST", "/multi?path=$.a[*]", bytes.NewReader(body.Bytes()))
+			s.ServeHTTP(httptest.NewRecorder(), req)
+		})
+	}
+	// 700 more matches from record 100 on; output buffers grow a few
+	// more times for the longer response.
+	one, eight := allocs(1), allocs(8)
+	t.Logf("200 records: %.0f allocs with one match each, %.0f with eight", one, eight)
+	if eight > one+50 {
+		t.Errorf("%.0f allocs with eight matches a record, %.0f with one: want no allocation per match", eight, one)
 	}
 }

@@ -28,9 +28,7 @@ const (
 	maxExplainEvents       = 4096
 )
 
-// linePool recycles the output buffers of single-document evaluations
-// that render their matches before writing them (explain runs, /multi
-// and /doc).
+// linePool recycles the output buffers of /doc lookups.
 var linePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func getLineBuf() *bytes.Buffer {
@@ -48,43 +46,49 @@ func putLineBuf(buf *bytes.Buffer) {
 }
 
 // NDJSON line framing for /query output: every match is wrapped as
-// {"record":N,"value":<match>}. recordPrefix renders the opening frame
-// for record idx; singlePrefix is the constant frame of single-document
-// requests.
+// {"record":N,"value":<match>}.
 var (
-	singlePrefix = recordPrefix(0)
-	lineSuffix   = []byte("}\n")
+	firstPrefix = []byte(`{"record":0,"value":`)
+	lineSuffix  = []byte("}\n")
 )
 
+// recordPrefix renders the opening frame for record idx. Record 0's,
+// the frame of every single-document response, is a constant.
 func recordPrefix(idx int) []byte {
+	if idx == 0 {
+		return firstPrefix
+	}
 	b := make([]byte, 0, 24)
 	b = append(b, `{"record":`...)
 	b = strconv.AppendInt(b, int64(idx), 10)
 	return append(b, `,"value":`...)
 }
 
-// recordEval evaluates record idx and appends its NDJSON match lines to
-// out. In explain mode it returns the record's fast-forward trace; nil
-// otherwise. It runs on pool workers, concurrently with other batches.
-type recordEval func(out *bytes.Buffer, rec []byte, idx int) (*jsonski.Trace, error)
+// lineWriter receives a record's NDJSON match lines: a batch's output
+// buffer, or a single document's buffered response writer. WriteString
+// and WriteByte let the /multi framing write its constant parts and its
+// numbers without allocating.
+type lineWriter interface {
+	io.Writer
+	io.StringWriter
+	io.ByteWriter
+}
 
-// evaluator bundles a record evaluation with its indexed twin. eval
-// handles NDJSON stream records (each line is seen once; indexing it
-// would be pure overhead); evalIndexed handles single-document
-// requests through the structural-index cache, so repeated queries
-// over a hot document reuse its word masks. single, when set, replaces
-// both for non-explain single-document requests: it streams match
-// lines straight from the record buffer into the response writer
-// through a zero-copy StreamSink instead of rendering into an
-// intermediate buffer (ix is nil when the index cache is off). In
-// explain mode (explain set) eval records a fast-forward trace and the
-// other paths are unused: explain runs bypass the index cache so the
-// trace reflects exactly the movements of this evaluation.
+// recordEval evaluates record idx and writes its NDJSON match lines to
+// out. ix is a structural index of rec when a single document found one
+// in the index cache, nil otherwise: an NDJSON record is seen once, so
+// indexing it would be pure overhead. In explain mode it returns the
+// record's fast-forward trace; nil otherwise. NDJSON records run on
+// pool workers, concurrently with other batches.
+type recordEval func(out lineWriter, rec []byte, idx int, ix *jsonski.Index) (*jsonski.Trace, error)
+
+// evaluator is an endpoint's record evaluation. In explain mode
+// (explain set) eval records a fast-forward trace, and single documents
+// bypass the index cache so the trace reflects exactly the movements of
+// this evaluation.
 type evaluator struct {
-	eval        recordEval
-	evalIndexed func(out *bytes.Buffer, ix *jsonski.Index) error
-	single      func(w io.Writer, data []byte, ix *jsonski.Index) error
-	explain     bool
+	eval    recordEval
+	explain bool
 }
 
 // explainRequested reports whether the request opted into explain mode.
@@ -115,15 +119,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	explain := explainRequested(r)
 	s.serve(w, r, evaluator{
 		explain: explain,
-		eval: func(out *bytes.Buffer, rec []byte, idx int) (*jsonski.Trace, error) {
+		eval: func(out lineWriter, rec []byte, idx int, ix *jsonski.Index) (*jsonski.Trace, error) {
 			sink := &jsonski.StreamSink{W: out, Prefix: recordPrefix(idx), Suffix: lineSuffix}
 			st, err := s.runRecord(rsp, idx, func(sp *telemetry.Span) (jsonski.Stats, error) {
+				sp.SetBool("jsonski.indexed", ix != nil)
 				// Explain requests trace every record for the trailer; a
 				// sampled span gets its movement log as span events.
 				// Same engine, same output either way.
 				switch {
 				case explain:
 					return q.RunSinkExplain(rec, sink, perRecordExplainEvents)
+				case ix != nil && sp.Recording():
+					return q.RunIndexedSinkExplain(ix, sink, spanTraceEvents)
+				case ix != nil:
+					return q.RunIndexedSink(ix, sink)
 				case sp.Recording():
 					return q.RunSinkExplain(rec, sink, spanTraceEvents)
 				}
@@ -133,22 +142,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				return nil, err
 			}
 			return st.Trace(), err
-		},
-		single: func(w io.Writer, data []byte, ix *jsonski.Index) error {
-			sink := &jsonski.StreamSink{W: w, Prefix: singlePrefix, Suffix: lineSuffix}
-			_, err := s.runRecord(rsp, 0, func(sp *telemetry.Span) (jsonski.Stats, error) {
-				sp.SetBool("jsonski.indexed", ix != nil)
-				switch {
-				case ix != nil && sp.Recording():
-					return q.RunIndexedSinkExplain(ix, sink, spanTraceEvents)
-				case ix != nil:
-					return q.RunIndexedSink(ix, sink)
-				case sp.Recording():
-					return q.RunSinkExplain(data, sink, spanTraceEvents)
-				}
-				return q.RunSink(data, sink)
-			})
-			return err
 		},
 	})
 }
@@ -175,32 +168,38 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 	}
 	rsp := telemetry.SpanFromContext(r.Context())
 	s.serve(w, r, evaluator{
-		eval: func(out *bytes.Buffer, rec []byte, idx int) (*jsonski.Trace, error) {
-			_, err := s.runRecord(rsp, idx, func(*telemetry.Span) (jsonski.Stats, error) {
+		eval: func(out lineWriter, rec []byte, idx int, ix *jsonski.Index) (*jsonski.Trace, error) {
+			_, err := s.runRecord(rsp, idx, func(sp *telemetry.Span) (jsonski.Stats, error) {
+				sp.SetBool("jsonski.indexed", ix != nil)
+				if ix != nil {
+					return qs.RunIndexed(ix, multiLine(out, idx))
+				}
 				return qs.Run(rec, multiLine(out, idx))
 			})
 			return nil, err
 		},
-		evalIndexed: func(out *bytes.Buffer, ix *jsonski.Index) error {
-			_, err := s.runRecord(rsp, 0, func(sp *telemetry.Span) (jsonski.Stats, error) {
-				sp.SetBool("jsonski.indexed", true)
-				return qs.RunIndexed(ix, multiLine(out, 0))
-			})
-			return err
-		},
 	})
 }
 
-// multiLine renders each /multi match as an NDJSON line into buf.
-func multiLine(buf *bytes.Buffer, idx int) func(jsonski.SetMatch) {
+// multiLine renders each /multi match as an NDJSON line into w.
+func multiLine(w lineWriter, idx int) func(jsonski.SetMatch) {
 	return func(m jsonski.SetMatch) {
-		buf.WriteString(`{"record":`)
-		buf.WriteString(strconv.Itoa(idx))
-		buf.WriteString(`,"query":`)
-		buf.WriteString(strconv.Itoa(m.Query))
-		buf.WriteString(`,"value":`)
-		buf.Write(m.Value)
-		buf.WriteString("}\n")
+		w.WriteString(`{"record":`)
+		writeInt(w, idx)
+		w.WriteString(`,"query":`)
+		writeInt(w, m.Query)
+		w.WriteString(`,"value":`)
+		w.Write(m.Value)
+		w.WriteString("}\n")
+	}
+}
+
+// writeInt writes n in decimal a byte at a time: digits handed to Write
+// would escape through the interface, costing an allocation per match.
+func writeInt(w io.ByteWriter, n int) {
+	var b [20]byte
+	for _, c := range strconv.AppendInt(b[:0], int64(n), 10) {
+		w.WriteByte(c)
 	}
 }
 
@@ -267,52 +266,57 @@ func (t *explainTrail) line() []byte {
 	return append(b, '\n')
 }
 
-// serveSingle evaluates the whole body as one record. With the index
-// cache enabled it runs through a cached structural index, so repeated
-// posts of the same document hit the cached masks. The body's pooled
-// buffer goes back when serveSingle returns: no slice of it outlives
-// the handler, since matches are rendered or flushed before then and
-// the index cache keeps its own copy of what it caches.
+// serveSingle evaluates the whole body as one record, with match lines
+// streamed straight from the record buffer to the response (no
+// intermediate rendering of the result set). With the index cache
+// enabled it runs over a cached structural index, so repeated posts of
+// the same document hit the cached masks; explain runs bypass the cache,
+// so the trace describes this evaluation's movements, not a cached
+// index's. Output is buffered 16KB at a time: an evaluation error before
+// anything reached the wire still gets a full-status 400 with the
+// partial output discarded; after that the error becomes a trailing
+// NDJSON line, as on the record-stream path. The body's pooled buffer
+// goes back when serveSingle returns: no slice of it outlives the
+// handler, since matches are flushed before then and the index cache
+// keeps its own copy of what it caches.
 func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, ev evaluator) {
 	bb, data := s.readDocument(w, r)
 	if bb == nil {
 		return
 	}
 	defer putBodyBuf(bb)
-	if ev.single != nil && !ev.explain {
-		s.serveSingleStreaming(w, r, data, ev)
-		return
-	}
-	buf := getLineBuf()
-	defer putLineBuf(buf)
-	var (
-		trace *jsonski.Trace
-		err   error
-	)
-	if !ev.explain && ev.evalIndexed != nil {
-		if ix := s.lookupIndex(telemetry.SpanFromContext(r.Context()), data); ix != nil {
-			err = ev.evalIndexed(buf, ix)
-			ix.Release()
-		} else {
-			trace, err = ev.eval(buf, data, 0)
+	rsp := telemetry.SpanFromContext(r.Context())
+	var ix *jsonski.Index
+	if !ev.explain {
+		if ix = s.lookupIndex(rsp, data); ix != nil {
+			defer ix.Release()
 		}
-	} else {
-		// Explain runs bypass the index cache: the trace should describe
-		// this evaluation's movements, not a cached index's.
-		trace, err = ev.eval(buf, data, 0)
-	}
-	if err != nil {
-		s.m.counts[recordErrors].Add(1)
-		s.jsonError(w, http.StatusBadRequest, err)
-		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	s.write(w, buf.Bytes())
+	cw := &countingWriter{w: w, n: &s.m.counts[bytesOut]}
+	bw := responseBufPool.Get().(*bufio.Writer)
+	bw.Reset(cw)
+	defer func() {
+		bw.Reset(nil)
+		responseBufPool.Put(bw)
+	}()
+	trace, err := ev.eval(hideFlush{bw}, data, 0, ix)
+	if err != nil {
+		s.m.counts[recordErrors].Add(1)
+		if cw.sent == 0 {
+			s.jsonError(w, http.StatusBadRequest, err)
+			return
+		}
+		s.flushSink(rsp, bw)
+		s.writeErrorLine(w, 0, err)
+		return
+	}
 	if ev.explain {
 		var trail explainTrail
 		trail.add(0, trace)
-		s.write(w, trail.line())
+		bw.Write(trail.line())
 	}
+	s.flushSink(rsp, bw)
 }
 
 // lookupIndex resolves a single-document body to a structural index
@@ -351,10 +355,15 @@ var responseBufPool = sync.Pool{
 	New: func() any { return bufio.NewWriterSize(nil, 16<<10) },
 }
 
-// hideFlush exposes only Write, so the StreamSink's end-of-run Flush
-// cannot push buffered output to the wire before serveSingleStreaming
-// has decided between success and a full-status error.
-type hideFlush struct{ io.Writer }
+// hideFlush exposes only the lineWriter methods, so the StreamSink's
+// end-of-run Flush cannot push buffered output to the wire before
+// serveSingle has decided between success and a full-status error. It
+// holds one pointer, so it converts to a lineWriter without allocating.
+type hideFlush struct{ bw *bufio.Writer }
+
+func (h hideFlush) Write(p []byte) (int, error)       { return h.bw.Write(p) }
+func (h hideFlush) WriteString(s string) (int, error) { return h.bw.WriteString(s) }
+func (h hideFlush) WriteByte(c byte) error            { return h.bw.WriteByte(c) }
 
 // countingWriter tallies bytes that actually reach the response.
 type countingWriter struct {
@@ -370,40 +379,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	c.sent += int64(n)
 	c.n.Add(int64(n))
 	return n, err
-}
-
-// serveSingleStreaming evaluates the whole body as one record with
-// match lines streamed straight from the record buffer to the response
-// (no intermediate rendering of the result set). Output is buffered
-// 16KB at a time: an evaluation error before anything reached the wire
-// still gets a full-status 400 with the partial output discarded;
-// after that the error becomes a trailing NDJSON line, as on the
-// record-stream path.
-func (s *Server) serveSingleStreaming(w http.ResponseWriter, r *http.Request, data []byte, ev evaluator) {
-	rsp := telemetry.SpanFromContext(r.Context())
-	ix := s.lookupIndex(rsp, data)
-	if ix != nil {
-		defer ix.Release()
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	cw := &countingWriter{w: w, n: &s.m.counts[bytesOut]}
-	bw := responseBufPool.Get().(*bufio.Writer)
-	bw.Reset(cw)
-	defer func() {
-		bw.Reset(nil)
-		responseBufPool.Put(bw)
-	}()
-	if err := ev.single(hideFlush{bw}, data, ix); err != nil {
-		s.m.counts[recordErrors].Add(1)
-		if cw.sent == 0 {
-			s.jsonError(w, http.StatusBadRequest, err)
-			return
-		}
-		s.flushSink(rsp, bw)
-		s.writeErrorLine(w, 0, err)
-		return
-	}
-	s.flushSink(rsp, bw)
 }
 
 // batch is one pool task of the NDJSON stream path: the complete records
@@ -446,7 +421,7 @@ func (b *batch) run(eval recordEval) {
 	for i, rec := range b.Recs {
 		idx := b.First + i
 		mark := b.out.Len()
-		trace, err := eval(&b.out, rec, idx)
+		trace, err := eval(&b.out, rec, idx, nil)
 		b.traces = append(b.traces, trace)
 		if err != nil {
 			b.out.Truncate(mark)

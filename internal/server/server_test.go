@@ -177,10 +177,12 @@ func TestQueryOnSetKeyTextIs400(t *testing.T) {
 
 func TestQueryMalformedSingleRecordIs400(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
-	code, body := post(t, ts.URL+"/query?path="+url.QueryEscape("$.v.x"),
-		"application/json", `{"v": {`)
-	if code != http.StatusBadRequest || !strings.Contains(body, `"error"`) {
-		t.Fatalf("status %d body %q", code, body)
+	for _, endpoint := range []string{"/query", "/multi"} {
+		code, body := post(t, ts.URL+endpoint+"?path="+url.QueryEscape("$.v.x"),
+			"application/json", `{"v": {`)
+		if code != http.StatusBadRequest || !strings.Contains(body, `"error"`) {
+			t.Fatalf("%s: status %d body %q", endpoint, code, body)
+		}
 	}
 }
 
@@ -587,5 +589,39 @@ func TestConcurrentRequestsRace(t *testing.T) {
 	snap := getMetrics(t, ts.URL)
 	if snap.Requests.Errors != 0 || snap.Engine.RecordErrors != 0 {
 		t.Fatalf("errors under load: %+v", snap.Requests)
+	}
+}
+
+// TestSingleDocumentErrorAfterOutput: once a single document's match
+// lines have filled the 16 KiB response buffer and gone out, an engine
+// error can no longer become a 400. The response keeps its 200 and the
+// lines already sent, and ends with a {"record":0,"error":...} line, on
+// /query, its explain runs and /multi alike.
+func TestSingleDocumentErrorAfterOutput(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	doc := `{"a": [` + strings.Repeat(`1, `, 8000) // truncated mid-array
+	for _, target := range []string{
+		"/query?path=" + url.QueryEscape("$.a[*]"),
+		"/query?explain=1&path=" + url.QueryEscape("$.a[*]"),
+		"/multi?path=" + url.QueryEscape("$.a[*]"),
+	} {
+		code, body := post(t, ts.URL+target, "application/json", doc)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200 once output has gone out: %.200q", target, code, body)
+		}
+		lines := strings.Split(strings.TrimSuffix(body, "\n"), "\n")
+		if len(lines) < 2 || len(body) < 16<<10 {
+			t.Fatalf("%s: %d lines, %d bytes, want more than 16 KiB of match lines", target, len(lines), len(body))
+		}
+		var last struct {
+			Record *int   `json:"record"`
+			Error  string `json:"error"`
+		}
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || last.Record == nil || *last.Record != 0 || last.Error == "" {
+			t.Fatalf("%s: last line %q, want a record 0 error line (%v)", target, lines[len(lines)-1], err)
+		}
+		if !strings.HasPrefix(lines[0], `{"record":0,`) || !strings.HasSuffix(lines[0], `"value":1}`) {
+			t.Fatalf("%s: first line %q, want a match line", target, lines[0])
+		}
 	}
 }

@@ -347,7 +347,7 @@ func TestEveryTracedRequestExportsItsSpanTree(t *testing.T) {
 		{"explain", false, query("/query", "path", "$.a.b") + "&explain=1", "", ndjson(rec, rec),
 			http.StatusOK, "POST /query", map[string]int{"engine.run": 2}, ""},
 		{"explain single document", false, query("/query", "path", "$.a.b") + "&explain=1", "application/json", doc,
-			http.StatusOK, "POST /query", map[string]int{"engine.run": 1}, ""},
+			http.StatusOK, "POST /query", map[string]int{"engine.run": 1, "sink.flush": 1}, ""},
 		{"single document, index hit", false, query("/query", "path", "$.a.b[2]"), "application/json", doc,
 			http.StatusOK, "POST /query", map[string]int{"index.lookup": 1, "engine.run": 1, "sink.flush": 1}, "cache"},
 		{"single document, no index", true, query("/query", "path", "$.a.b[2]"), "application/json", doc,
@@ -355,7 +355,7 @@ func TestEveryTracedRequestExportsItsSpanTree(t *testing.T) {
 		{"multi ndjson", false, query("/multi", "path", "$.a", "$.pad"), "", ndjson(rec, rec),
 			http.StatusOK, "POST /multi", map[string]int{"engine.run": 2}, ""},
 		{"multi single document", false, query("/multi", "path", "$.a", "$.pad"), "application/json", doc,
-			http.StatusOK, "POST /multi", map[string]int{"index.lookup": 1, "engine.run": 1}, "cache"},
+			http.StatusOK, "POST /multi", map[string]int{"index.lookup": 1, "engine.run": 1, "sink.flush": 1}, "cache"},
 		{"doc hit", false, query("/doc", "get", "a.b[2].c"), "", doc,
 			http.StatusOK, "POST /doc", map[string]int{"index.lookup": 1, "engine.run": 1}, "cache"},
 		{"doc 404", false, query("/doc", "get", "a.zz"), "", doc,

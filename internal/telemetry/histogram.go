@@ -25,10 +25,9 @@ const NumBuckets = 44
 
 // Histogram is a lock-free log-bucketed latency histogram. Observe may
 // be called from any number of goroutines; Snapshot may be taken at any
-// time. Counters are individually atomic, merged the way core.StatsAccum
-// merges engine counters: a snapshot racing an Observe can be torn
-// across buckets — fine for metrics — while totals read after all
-// writers finish are exact.
+// time. Counters are individually atomic: a snapshot racing an Observe
+// can be torn across buckets — fine for metrics — while totals read
+// after all writers finish are exact.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64 // nanoseconds
@@ -158,15 +157,3 @@ func (s *HistSnapshot) Mean() time.Duration {
 
 // Max returns the largest observation.
 func (s *HistSnapshot) Max() time.Duration { return time.Duration(s.MaxNanos) }
-
-// Merge folds another snapshot into s (bucket-wise sums, max of maxes).
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	s.Count += o.Count
-	s.SumNanos += o.SumNanos
-	if o.MaxNanos > s.MaxNanos {
-		s.MaxNanos = o.MaxNanos
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-}

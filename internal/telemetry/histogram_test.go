@@ -111,21 +111,3 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatalf("bucket sum %d != count %d after quiescence", bsum, s.Count)
 	}
 }
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(time.Millisecond)
-	b.Observe(2 * time.Millisecond)
-	b.Observe(3 * time.Millisecond)
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
-	if s.Count != 3 {
-		t.Errorf("merged count = %d, want 3", s.Count)
-	}
-	if s.Max() != 3*time.Millisecond {
-		t.Errorf("merged max = %v, want 3ms", s.Max())
-	}
-	if s.SumNanos != int64(6*time.Millisecond) {
-		t.Errorf("merged sum = %d, want 6ms", s.SumNanos)
-	}
-}

@@ -72,19 +72,12 @@ type Stats struct {
 	// SkippedBytes counts fast-forwarded bytes per group G1..G5.
 	SkippedBytes [5]int64
 
-	trace   *Trace
-	latency *LatencySnapshot
+	trace *Trace
 }
 
 // Trace returns the bounded fast-forward event log recorded by an
-// explain-mode run (RunExplain), or nil for ordinary runs.
+// explain-mode run (RunSinkExplain), or nil for ordinary runs.
 func (s Stats) Trace() *Trace { return s.trace }
-
-// Latency returns the per-record evaluation-latency distribution
-// recorded by the streaming reader entry points (RunReader and friends),
-// or nil for single-buffer runs, which have exactly one latency — the
-// call's own duration.
-func (s Stats) Latency() *LatencySnapshot { return s.latency }
 
 // FastForwardRatio is the fraction of input bytes that were
 // fast-forwarded over rather than parsed (paper Table 6, "Overall").
@@ -131,8 +124,8 @@ func (s *Stats) add(st core.Stats) {
 	}
 }
 
-// merge folds another aggregate into s. Trace and latency attachments
-// are carried over when s has none of its own.
+// merge folds another aggregate into s, keeping s's trace, or o's when
+// s has none.
 func (s *Stats) merge(o Stats) {
 	s.Matches += o.Matches
 	s.InputBytes += o.InputBytes
@@ -141,11 +134,6 @@ func (s *Stats) merge(o Stats) {
 	}
 	if s.trace == nil {
 		s.trace = o.trace
-	}
-	if s.latency == nil {
-		s.latency = o.latency
-	} else if o.latency != nil {
-		s.latency.merge(*o.latency)
 	}
 }
 

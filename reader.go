@@ -5,15 +5,13 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"jsonski/internal/ndjson"
-	"jsonski/internal/telemetry"
 )
 
-// RunReader streams newline-delimited JSON records from r, evaluating the
-// query against each record as soon as the read that completes it
-// returns. Records are the non-blank lines of r, trimmed by
+// RunReaderContext streams newline-delimited JSON records from r,
+// evaluating the query against each record as soon as the read that
+// completes it returns. Records are the non-blank lines of r, trimmed by
 // bytes.TrimSpace. Match.Value aliases an internal read buffer that
 // remains valid only for the duration of the callback.
 //
@@ -22,14 +20,11 @@ import (
 // 64 KiB batches into one reused buffer, which a record longer than that
 // grows by doubling: memory is bounded by the larger of 64 KiB and the
 // longest record, within a factor of two, per worker.
-func (q *Query) RunReader(r io.Reader, fn func(Match)) (Stats, error) {
-	return q.RunReaderContext(context.Background(), r, fn)
-}
-
-// RunReaderContext is RunReader with cancellation: the loop stops between
-// records as soon as ctx is done and returns ctx.Err() (records are never
-// abandoned mid-evaluation, so the abort granularity is one record).
-// Engine errors are wrapped with the index of the offending record.
+//
+// The loop stops between records as soon as ctx is done and returns
+// ctx.Err() (records are never abandoned mid-evaluation, so the abort
+// granularity is one record). Engine errors are wrapped with the index
+// of the offending record.
 func (q *Query) RunReaderContext(ctx context.Context, r io.Reader, fn func(Match)) (Stats, error) {
 	return q.RunReaderSink(ctx, r, fnSink(fn))
 }
@@ -43,16 +38,11 @@ func (q *Query) RunReaderSink(ctx context.Context, r io.Reader, sink Sink) (Stat
 	return serial(readerSource(ctx, r), newSinkRun(sink), q.eval)
 }
 
-// RunReader streams newline-delimited JSON records from r, framed and
-// buffered as by Query.RunReader, evaluating every query of the set
-// against each record: the shared pass, then the sidecar queries, as in
-// Run. SetMatch.Value aliases an internal read buffer that remains valid
-// only for the duration of the callback.
-func (qs *QuerySet) RunReader(r io.Reader, fn func(SetMatch)) (Stats, error) {
-	return qs.RunReaderContext(context.Background(), r, fn)
-}
-
-// RunReaderContext is the QuerySet RunReader with cancellation: the
+// RunReaderContext streams newline-delimited JSON records from r,
+// framed and buffered as by Query.RunReaderContext, evaluating every
+// query of the set against each record: the shared pass, then the
+// sidecar queries, as in Run. SetMatch.Value aliases an internal read
+// buffer that remains valid only for the duration of the callback. The
 // loop stops between records as soon as ctx is done and returns
 // ctx.Err(). Engine errors are wrapped with the index of the offending
 // record.
@@ -60,30 +50,23 @@ func (qs *QuerySet) RunReaderContext(ctx context.Context, r io.Reader, fn func(S
 	return serial(readerSource(ctx, r), setFnRun(fn), qs.eval)
 }
 
-// RunReaderParallel is RunReader with a pool of `workers` goroutines
-// (the paper's task-level parallelism). Each worker claims a 64 KiB
-// batch of records, the records of one read, and evaluates them in
-// order in a buffer of its own. fn may be invoked concurrently. Record
-// indexes reflect input order; callback order is unspecified.
-func (q *Query) RunReaderParallel(r io.Reader, workers int, fn func(Match)) (Stats, error) {
-	return q.RunReaderParallelContext(context.Background(), r, workers, fn)
-}
-
-// RunReaderParallelContext is RunReaderParallel with cancellation: once
-// ctx is done no further records are dispatched, in-flight records drain,
-// and ctx.Err() is returned.
+// RunReaderParallelContext is RunReaderContext with a pool of `workers`
+// goroutines (the paper's task-level parallelism, Figure 12). Each
+// worker claims a 64 KiB batch of records, the records of one read, and
+// evaluates them in order in a buffer of its own. fn may be invoked
+// concurrently. Record indexes reflect input order; callback order is
+// unspecified. Once ctx is done no further records are dispatched,
+// in-flight records drain, and ctx.Err() is returned.
 func (q *Query) RunReaderParallelContext(ctx context.Context, r io.Reader, workers int, fn func(Match)) (Stats, error) {
 	return q.parallel(readerSource(ctx, r), workers, fn)
 }
 
 // source feeds the record loop and the worker pool batches: a record of
-// a slice each, or the records of one read of an NDJSON reader, which
-// also keeps the per-record latency histogram behind Stats.Latency.
+// a slice each, or the records of one read of an NDJSON reader.
 type source struct {
 	recs [][]byte
 	rd   *ndjson.Reader // nil for a slice
 	ctx  context.Context
-	lat  telemetry.Histogram
 	n    int   // records handed out so far from a slice
 	err  error // why the reader stopped: io.EOF, a read error or ctx's error
 }
@@ -117,34 +100,12 @@ func (s *source) next(b *ndjson.Batch) bool {
 // done reports whether a reader's ctx is done; next then ends the source.
 func (s *source) done() bool { return s.ctx != nil && s.ctx.Err() != nil }
 
-// eval evaluates one record with fn, timing it when the source is a
-// reader.
-func (s *source) eval(fn evalFunc, rec []byte, sr *sinkRun) (Stats, error) {
-	if s.rd == nil {
-		return fn(input{data: rec}, sr)
-	}
-	t0 := time.Now()
-	st, err := fn(input{data: rec}, sr)
-	s.lat.Observe(time.Since(t0))
-	return st, err
-}
-
 // end is the error that ended the source, nil for a clean end.
 func (s *source) end() error {
 	if s.err == io.EOF {
 		return nil
 	}
 	return s.err
-}
-
-// latency snapshots the per-record latencies for Stats.Latency: nil for
-// a slice, which is never timed, and for an empty run.
-func (s *source) latency() *LatencySnapshot {
-	snap := s.lat.Snapshot()
-	if snap.Count == 0 {
-		return nil
-	}
-	return latencyFromSnapshot(snap)
 }
 
 // serial is the one serial record loop. It evaluates src's records in
@@ -159,7 +120,7 @@ func serial(src *source, sr *sinkRun, eval evalFunc) (Stats, error) {
 		for i := 0; i < len(b.Recs) && err == nil && sr.err == nil && !src.done(); i++ {
 			sr.begin(b.First+i, b.Recs[i])
 			var st Stats
-			if st, err = src.eval(eval, b.Recs[i], sr); err != nil {
+			if st, err = eval(input{data: b.Recs[i]}, sr); err != nil {
 				err = wrapRecordErr(b.First+i, err)
 			}
 			out.merge(st)
@@ -168,7 +129,6 @@ func serial(src *source, sr *sinkRun, eval evalFunc) (Stats, error) {
 	if err == nil {
 		err = src.end()
 	}
-	out.latency = src.latency()
 	return out, sr.finish(err)
 }
 
@@ -206,7 +166,7 @@ func (q *Query) parallel(src *source, workers int, fn func(Match)) (Stats, error
 				}
 				for i := 0; i < len(b.Recs) && !src.done(); i++ {
 					sr.begin(b.First+i, b.Recs[i])
-					st, err := src.eval(q.eval, b.Recs[i], sr)
+					st, err := q.eval(input{data: b.Recs[i]}, sr)
 					mu.Lock()
 					out.merge(st)
 					if err != nil && first == nil {
@@ -218,7 +178,6 @@ func (q *Query) parallel(src *source, workers int, fn func(Match)) (Stats, error
 		}()
 	}
 	wg.Wait()
-	out.latency = src.latency()
 	if first == nil {
 		first = src.end()
 	}

@@ -27,7 +27,7 @@ func ndjsonInput(n int) string {
 func TestRunReader(t *testing.T) {
 	q := MustCompile("$.v")
 	var got []string
-	st, err := q.RunReader(strings.NewReader(ndjsonInput(50)), func(m Match) {
+	st, err := q.RunReaderContext(context.Background(), strings.NewReader(ndjsonInput(50)), func(m Match) {
 		got = append(got, fmt.Sprintf("%d:%s", m.Record, m.Value))
 	})
 	if err != nil {
@@ -44,7 +44,7 @@ func TestRunReader(t *testing.T) {
 func TestRunReaderNoTrailingNewline(t *testing.T) {
 	q := MustCompile("$.v")
 	in := `{"v": 1}` + "\n" + `{"v": 2}` // no trailing \n
-	st, err := q.RunReader(strings.NewReader(in), nil)
+	st, err := q.RunReaderContext(context.Background(), strings.NewReader(in), nil)
 	if err != nil || st.Matches != 2 {
 		t.Fatalf("st=%+v err=%v", st, err)
 	}
@@ -54,7 +54,7 @@ func TestRunReaderLongLines(t *testing.T) {
 	q := MustCompile("$.v")
 	big := strings.Repeat("y", 200000)
 	in := fmt.Sprintf(`{"pad": "%s", "v": 9}%s{"v": 10}`, big, "\n")
-	st, err := q.RunReader(strings.NewReader(in), nil)
+	st, err := q.RunReaderContext(context.Background(), strings.NewReader(in), nil)
 	if err != nil || st.Matches != 2 {
 		t.Fatalf("st=%+v err=%v", st, err)
 	}
@@ -63,7 +63,7 @@ func TestRunReaderLongLines(t *testing.T) {
 func TestRunReaderMalformedRecord(t *testing.T) {
 	q := MustCompile("$.v.x")
 	in := `{"v": {"x": 1}}` + "\n" + `{"v": {` + "\n"
-	if _, err := q.RunReader(strings.NewReader(in), nil); err == nil {
+	if _, err := q.RunReaderContext(context.Background(), strings.NewReader(in), nil); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -73,7 +73,7 @@ func TestRunReaderParallel(t *testing.T) {
 	const n = 10000 // several 64 KiB batches, so workers claim them concurrently
 	var mu sync.Mutex
 	var recs []int
-	st, err := q.RunReaderParallel(strings.NewReader(ndjsonInput(n)), 8, func(m Match) {
+	st, err := q.RunReaderParallelContext(context.Background(), strings.NewReader(ndjsonInput(n)), 8, func(m Match) {
 		mu.Lock()
 		recs = append(recs, m.Record)
 		mu.Unlock()
@@ -94,7 +94,7 @@ func TestRunReaderParallel(t *testing.T) {
 
 func TestRunReaderParallelSerialFallback(t *testing.T) {
 	q := MustCompile("$.v")
-	st, err := q.RunReaderParallel(strings.NewReader(`{"v":1}`), 1, nil)
+	st, err := q.RunReaderParallelContext(context.Background(), strings.NewReader(`{"v":1}`), 1, nil)
 	if err != nil || st.Matches != 1 {
 		t.Fatalf("st=%+v err=%v", st, err)
 	}
@@ -135,7 +135,7 @@ func TestRunReaderContextCancelMidStream(t *testing.T) {
 func TestRunReaderErrorNamesRecord(t *testing.T) {
 	q := MustCompile("$.v.x")
 	in := `{"v": {"x": 1}}` + "\n" + `{"v": {` + "\n"
-	_, err := q.RunReader(strings.NewReader(in), nil)
+	_, err := q.RunReaderContext(context.Background(), strings.NewReader(in), nil)
 	if err == nil || !strings.Contains(err.Error(), "record 1:") {
 		t.Fatalf("err = %v", err)
 	}
@@ -153,11 +153,11 @@ func (f *failingReader) Read(p []byte) (int, error) {
 
 func TestRunReaderPropagatesReadError(t *testing.T) {
 	q := MustCompile("$.v")
-	_, err := q.RunReader(&failingReader{strings.NewReader("{\"v\":1}\n")}, nil)
+	_, err := q.RunReaderContext(context.Background(), &failingReader{strings.NewReader("{\"v\":1}\n")}, nil)
 	if err == nil || !strings.Contains(err.Error(), "socket reset") {
 		t.Fatalf("err = %v", err)
 	}
-	_, err = q.RunReaderParallel(&failingReader{strings.NewReader("{\"v\":1}\n")}, 4, nil)
+	_, err = q.RunReaderParallelContext(context.Background(), &failingReader{strings.NewReader("{\"v\":1}\n")}, 4, nil)
 	if err == nil {
 		t.Fatal("parallel read error not propagated")
 	}

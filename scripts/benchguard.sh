@@ -60,6 +60,12 @@
 #                                 over a 256 KiB document whose index
 #                                 is cached. The allocation gate holds
 #                                 the body read to a recycled buffer
+#   BenchmarkServerQueryStream/query
+#   BenchmarkServerQueryStream/multi
+#                               — jsonskid's NDJSON path in process:
+#                                 batches through the worker pool and
+#                                 the /query and /multi record
+#                                 evaluations, written back in order
 #
 # A benchmark absent from the base file is skipped, not failed: it did
 # not exist at the base commit. So is the allocation gate of a benchmark
@@ -118,7 +124,8 @@ for bench in BenchmarkRunLarge BenchmarkRunLargeSinkStream \
              BenchmarkRunRecordsStream/query BenchmarkRunRecordsStream/set \
              BenchmarkQuerySet/shared-pass \
              BenchmarkDescendant/descendant-nfa \
-             BenchmarkServerDocHot/query BenchmarkServerDocHot/doc; do
+             BenchmarkServerDocHot/query BenchmarkServerDocHot/doc \
+             BenchmarkServerQueryStream/query BenchmarkServerQueryStream/multi; do
     head_mean=$(mean "$head_file" "$bench")
     if [ -z "$head_mean" ]; then
         echo "$bench: no samples in $head_file" >&2
