@@ -11,9 +11,13 @@ build:
 	go build ./...
 	cd tools/lint && go build ./...
 
+# test also runs every paper benchmark once at a tiny size, serially and
+# at two workers, as CI's test job does, so §5's tables stay wired to
+# working code.
 test:
 	go test ./...
 	cd tools/lint && go test ./...
+	JSONSKI_BENCH_BYTES=65536 go test -run '^$$' -bench '^Benchmark(Fig1[0-4]|Table6|Ablation(NoFastForward|ScalarSkip|Groups)|MultiQuery|RepeatedDocument)$$' -benchtime 1x -cpu 1,2 .
 
 # test-386 mirrors the CI test-386 job: the whole suite on the SWAR
 # classifier. 386 binaries run natively on amd64 hosts and build

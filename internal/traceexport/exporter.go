@@ -1,9 +1,9 @@
 // Package traceexport ships the spans a telemetry.Tracer collects to an
 // OTLP/HTTP collector, a local NDJSON file, or both. It is apart from
 // internal/telemetry because it needs net/http: the library records
-// spans through telemetry, and the jsonski and jsonskibench CLIs, which
-// never export them, should not link an HTTP client. Only jsonskid
-// imports this package.
+// spans through telemetry, and the jsonski CLI, which never exports
+// them, should not link an HTTP client. Only jsonskid imports this
+// package.
 package traceexport
 
 import (

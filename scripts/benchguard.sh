@@ -80,9 +80,9 @@ head_file=${2:?usage: benchguard.sh BASE.txt HEAD.txt [MAX_PCT]}
 max_pct=${3:-2}
 
 # BENCH_*.json files are legacy experiment snapshots (machine-readable
-# reports of experiments jsonskibench no longer runs; EXPERIMENTS.md
-# names the benchmarks that carry their claims now), not `go test
-# -bench` output; there is nothing in them to guard, so passing one —
+# reports of experiments that no longer run; EXPERIMENTS.md names the
+# benchmarks that carry their claims now), not `go test -bench`
+# output; there is nothing in them to guard, so passing one —
 # e.g. from a glob over checked-in bench artifacts — is a no-op, not an
 # error.
 for f in "$base_file" "$head_file"; do

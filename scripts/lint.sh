@@ -21,12 +21,11 @@
 #                 its own invocation — the analyzers are load-bearing
 #                 code and lint themselves.
 #   shellcheck    over scripts/*.sh (same skip rule)
-#   deps guard    `go list -deps . ./cmd/jsonski ./cmd/jsonskibench` must
-#                 not list net/http: the library, the jsonski CLI and
-#                 jsonskibench stay off the HTTP (and TLS) stack, which
-#                 costs every CLI start about 1 ms. The span exporter
-#                 lives in internal/traceexport, which only jsonskid
-#                 imports.
+#   deps guard    `go list -deps . ./cmd/jsonski` must not list
+#                 net/http: the library and the jsonski CLI stay off the
+#                 HTTP (and TLS) stack, which costs every CLI start about
+#                 1 ms. The span exporter lives in internal/traceexport,
+#                 which only jsonskid imports.
 #
 # Usage: scripts/lint.sh   (from anywhere; it cds to the repo root)
 set -euo pipefail
@@ -86,10 +85,10 @@ else
     echo "warning: shellcheck not installed; skipping" >&2
 fi
 
-echo "==> net/http stays out of the library, cmd/jsonski and cmd/jsonskibench"
-if deps=$(go list -deps . ./cmd/jsonski ./cmd/jsonskibench); then
+echo "==> net/http stays out of the library and cmd/jsonski"
+if deps=$(go list -deps . ./cmd/jsonski); then
     if grep -qx 'net/http' <<<"$deps"; then
-        echo "net/http is linked into the library, cmd/jsonski or cmd/jsonskibench; only jsonskid may depend on it" >&2
+        echo "net/http is linked into the library or cmd/jsonski; only jsonskid may depend on it" >&2
         fail=1
     fi
 else
