@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -472,6 +473,7 @@ func FuzzOnDemandDifferential(f *testing.F) {
 	f.Add(append([]byte{0}, []byte(` -1.5e3 `)...))
 	f.Add(append([]byte{4, 9, 9, 9, 9}, []byte(`[[[["deep\t\"str\""]]]]`)...))
 	f.Add(append([]byte{1, 0}, []byte(`{"dup":1,"dup":2}`)...))
+	f.Add(append([]byte{1, 0}, []byte(`[1E1000]`)...))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 2 {
 			return
@@ -547,13 +549,15 @@ func FuzzOnDemandDifferential(f *testing.F) {
 				t.Fatalf("String() of %q = %q, want %q", want, got, ref)
 			}
 		case domparser.KindNumber:
+			// A valid number beyond float64's range fails both with
+			// ErrRange and ±Inf; any other error fails the check.
 			got, err := v.Float()
-			if err != nil {
-				t.Fatalf("Float() of %q: %v", want, err)
+			ref, refErr := strconv.ParseFloat(string(want), 64)
+			if refErr != nil && !errors.Is(refErr, strconv.ErrRange) {
+				t.Fatalf("reference parse of %q: %v", want, refErr)
 			}
-			ref, err := strconv.ParseFloat(string(want), 64)
-			if err != nil {
-				t.Fatalf("reference parse of %q: %v", want, err)
+			if (err == nil) != (refErr == nil) || (err != nil && !errors.Is(err, strconv.ErrRange)) {
+				t.Fatalf("Float() of %q: %v, reference error %v", want, err, refErr)
 			}
 			if got != ref && !(math.IsNaN(got) && math.IsNaN(ref)) {
 				t.Fatalf("Float() of %q = %v, want %v", want, got, ref)
