@@ -51,9 +51,9 @@ lint-one:
 	cd tools/lint && go test ./passes/$(PASS)/...
 	go run ./tools/lint/cmd/jsonskilint -run $(PASS) ./...
 
-# fuzz-smoke mirrors the CI fuzz-smoke job: a short budget per native
-# fuzz target, enough to replay the seed corpus and catch shallow
-# regressions locally. Override with FUZZTIME=60s for longer runs.
+# fuzz-smoke is the CI fuzz-smoke job: a short budget per native fuzz
+# target, enough to replay the seed corpus and catch shallow
+# regressions. Override with FUZZTIME=60s for longer runs.
 # -fuzzminimizetime caps minimizing each new-coverage input, which
 # otherwise spends most of a short budget with no execs.
 FUZZTIME ?= 10s

@@ -65,17 +65,9 @@ func (t *Trace) Dump(w io.Writer) {
 // (DefaultTraceEvents when maxEvents <= 0) are recorded, retrievable via
 // Stats.Trace. Explain runs use the same engines and produce the same
 // matches; only the recording differs, so a slow query can be re-run
-// verbatim to see why it moved the way it did. This is also the entry
-// point the daemon uses for sampled requests: the movement log becomes
-// span events without disturbing the streaming output path.
+// verbatim to see why it moved the way it did.
 func (q *Query) RunSinkExplain(data []byte, sink Sink, maxEvents int) (Stats, error) {
 	return single(input{data: data}, explainRun(sink, maxEvents), q.eval)
-}
-
-// RunIndexedSinkExplain is RunIndexedSink in explain mode. The index
-// must stay alive (not finally Released) for the duration of the call.
-func (q *Query) RunIndexedSinkExplain(ix *Index, sink Sink, maxEvents int) (Stats, error) {
-	return single(indexed(ix, 0, ix.Len()), explainRun(sink, maxEvents), q.eval)
 }
 
 // explainRun is newSinkRun for an explain run recording up to maxEvents

@@ -58,8 +58,8 @@ func (st Stats) GroupRatios() [fastforward.NumGroups]float64 {
 // minus everything fast-forwarded over. Together with the per-group
 // Skipped breakdown this is the run's full cost attribution — every
 // input byte is either charged to a Table 1 group or was scanned.
-// Clamped at zero: window runs can charge a movement that ends past
-// the window's nominal input span.
+// Clamped at zero: filter probes charge the bytes they re-scan, so the
+// charges can exceed the input (DESIGN §5f).
 func (st Stats) ScannedBytes() int64 {
 	n := st.InputBytes - st.Skipped.TotalSkipped()
 	if n < 0 {
@@ -177,31 +177,26 @@ func NewEngine(a *automaton.Automaton) *Engine {
 // every match.
 func (e *Engine) Run(data []byte, emit EmitFunc) (Stats, error) {
 	e.prepare(data)
-	return e.finish(emit, int64(len(data)))
+	return e.finish(emit)
 }
 
-// RunIndexedWindow evaluates the query over the single JSON value
-// occupying the window [lo, hi) of ix's buffer: the stream borrows ix's
-// materialized masks instead of classifying words on the fly. A whole
-// index is the window [0, ix.Len()). Emitted positions are absolute
-// within the full buffer. The caller must hold a reference on ix for
-// the duration of the call.
-func (e *Engine) RunIndexedWindow(ix *stream.Index, lo, hi int, emit EmitFunc) (Stats, error) {
-	e.prepareWindow(ix, lo, hi)
-	return e.finish(emit, int64(hi-lo))
+// RunIndexed evaluates the query over the single JSON value in ix's
+// buffer: the stream borrows ix's materialized masks instead of
+// classifying words on the fly. The caller must hold a reference on ix
+// for the duration of the call.
+func (e *Engine) RunIndexed(ix *stream.Index, emit EmitFunc) (Stats, error) {
+	e.prepareIndexed(ix)
+	return e.finish(emit)
 }
 
 // finish drives the prepared stream through the automaton and collects
 // statistics.
-func (e *Engine) finish(emit EmitFunc, inputBytes int64) (Stats, error) {
+func (e *Engine) finish(emit EmitFunc) (Stats, error) {
 	e.out, e.matches, e.rootDoc = emit, 0, nil
 	err := e.run()
-	return Stats{
-		Matches:        e.matches,
-		InputBytes:     inputBytes,
-		Skipped:        e.ff.Stats,
-		WordsProcessed: e.s.WordsProcessed,
-	}, err
+	st := e.Stats()
+	st.Matches = e.matches
+	return st, err
 }
 
 // run evaluates the record under the cursor. The start states its first

@@ -311,8 +311,7 @@ func (e *Engine) recordDoc() *domparser.Doc {
 		return e.absDoc
 	}
 	if e.rootDoc == nil {
-		data := e.s.Data()[e.rootStart:e.rootEnd]
-		doc, err := domparser.ParseDoc(data)
+		doc, err := domparser.ParseDoc(e.s.Data())
 		if err != nil {
 			// The engine is mid-stream over this record, so it parses;
 			// an error means a malformed tail the stream has not reached

@@ -32,12 +32,6 @@ type Navigator struct {
 
 	depth int
 
-	// rootStart/rootEnd delimit the record under evaluation within
-	// s.Data() — the whole buffer for plain runs, the window for
-	// RunIndexedWindow. Filter probes resolve absolute ($) references
-	// against this span.
-	rootStart, rootEnd int
-
 	// trace, when non-nil, receives one event per fast-forward movement
 	// plus the engine's state set at each descent (explain mode). The
 	// disabled path is a nil check per object/array frame.
@@ -116,7 +110,6 @@ func (n *Navigator) prepare(data []byte) {
 		n.s.Reset(data)
 		n.ff.Reset(n.s)
 	}
-	n.rootStart, n.rootEnd = 0, len(data)
 	n.finishBind()
 }
 
@@ -131,22 +124,6 @@ func (n *Navigator) prepareIndexed(ix *stream.Index) {
 		n.s.ResetIndexed(ix)
 		n.ff.Reset(n.s)
 	}
-	n.rootStart, n.rootEnd = 0, ix.Len()
-	n.finishBind()
-}
-
-// prepareWindow is prepareIndexed restricted to the single JSON value in
-// [lo, hi) of ix's buffer, such as one record of an indexed NDJSON
-// corpus. Positions stay absolute within the full buffer.
-func (n *Navigator) prepareWindow(ix *stream.Index, lo, hi int) {
-	if n.s == nil {
-		n.s = stream.NewIndexedWindow(ix, lo, hi)
-		n.ff = fastforward.New(n.s)
-	} else {
-		n.s.ResetIndexedWindow(ix, lo, hi)
-		n.ff.Reset(n.s)
-	}
-	n.rootStart, n.rootEnd = lo, hi
 	n.finishBind()
 }
 
@@ -180,7 +157,7 @@ func (n *Navigator) Data() []byte { return n.s.Data() }
 // identity).
 func (n *Navigator) Stats() Stats {
 	return Stats{
-		InputBytes:     int64(n.rootEnd - n.rootStart),
+		InputBytes:     int64(n.s.Len()),
 		Skipped:        n.ff.Stats,
 		WordsProcessed: n.s.WordsProcessed,
 	}

@@ -3,12 +3,10 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"jsonski/internal/automaton"
 	"jsonski/internal/jsonpath"
-	"jsonski/internal/stream"
 )
 
 // parityCases pairs a query with documents whose root type matches the
@@ -104,57 +102,6 @@ func TestDFANFAMatchParity(t *testing.T) {
 				t.Errorf("stats diverge: single-state %+v set %+v", dfaStats, nfaStats)
 			}
 		})
-	}
-}
-
-// TestNFAWindowMatchesSliceRun crosschecks RunIndexedWindow for a
-// descendant query (a set of states below the root) against a
-// plain Run over the window's sub-slice: the spans must agree after
-// shifting by the window offset, proving the windowed stream sees
-// exactly the record's bytes.
-func TestNFAWindowMatchesSliceRun(t *testing.T) {
-	records := []string{
-		`{"x": {"name": "a", "y": {"name": "b"}}, "name": "c"}`,
-		`[{"name": "d"}, {"deep": [{"name": "e"}]}]`,
-		`{"none": "here"}`,
-	}
-	buf := []byte(strings.Join(records, "\n"))
-	ix := stream.NewIndex(buf)
-	p, err := jsonpath.Parse("$..name")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	lo := 0
-	for i, rec := range records {
-		hi := lo + len(rec)
-
-		windowed := NewEngine(automaton.New(p))
-		var winSpans [][2]int
-		winStats, err := windowed.RunIndexedWindow(ix, lo, hi, func(_, s, e int) {
-			winSpans = append(winSpans, [2]int{s - lo, e - lo})
-		})
-		if err != nil {
-			t.Fatalf("record %d: window: %v", i, err)
-		}
-
-		direct := NewEngine(automaton.New(p))
-		var directSpans [][2]int
-		directStats, err := direct.Run([]byte(rec), func(_, s, e int) {
-			directSpans = append(directSpans, [2]int{s, e})
-		})
-		if err != nil {
-			t.Fatalf("record %d: direct: %v", i, err)
-		}
-
-		if !reflect.DeepEqual(winSpans, directSpans) {
-			t.Errorf("record %d: spans diverge:\n window %v\n direct %v", i, winSpans, directSpans)
-		}
-		if winStats.Matches != directStats.Matches ||
-			winStats.InputBytes != directStats.InputBytes {
-			t.Errorf("record %d: stats diverge: window %+v direct %+v", i, winStats, directStats)
-		}
-		lo = hi + 1
 	}
 }
 

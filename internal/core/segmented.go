@@ -50,23 +50,24 @@ func (se *SegmentedEngine) SetTrace(t *telemetry.Trace) {
 
 // Run evaluates the path over one record.
 func (se *SegmentedEngine) Run(data []byte, emit EmitFunc) (Stats, error) {
-	return se.eval(data, nil, 0, len(data), emit)
+	return se.eval(data, nil, emit)
 }
 
-// RunIndexedWindow evaluates the path over the single JSON value in
-// [lo, hi) of ix's buffer; emitted positions are absolute.
-func (se *SegmentedEngine) RunIndexedWindow(ix *stream.Index, lo, hi int, emit EmitFunc) (Stats, error) {
-	return se.eval(ix.Data(), ix, lo, hi, emit)
+// RunIndexed evaluates the path over the single JSON value in ix's
+// buffer.
+func (se *SegmentedEngine) RunIndexed(ix *stream.Index, emit EmitFunc) (Stats, error) {
+	return se.eval(ix.Data(), ix, emit)
 }
 
-func (se *SegmentedEngine) eval(data []byte, ix *stream.Index, lo, hi int, emit EmitFunc) (Stats, error) {
+func (se *SegmentedEngine) eval(data []byte, ix *stream.Index, emit EmitFunc) (Stats, error) {
 	var (
 		rootDoc *domparser.Doc
 		matches int64
 	)
+	lo, hi := trimWS(data)
 	record := func() *domparser.Doc {
 		if rootDoc == nil {
-			d, err := domparser.ParseDoc(trimWS(data, lo, hi))
+			d, err := domparser.ParseDoc(data[lo:hi])
 			if err != nil {
 				d = &domparser.Doc{} // absent root: absolute refs select nothing
 			}
@@ -96,33 +97,31 @@ func (se *SegmentedEngine) eval(data []byte, ix *stream.Index, lo, hi int, emit 
 	)
 	switch {
 	case se.prefix != nil && ix != nil:
-		st, err = se.prefix.RunIndexedWindow(ix, lo, hi, tailEval)
+		st, err = se.prefix.RunIndexed(ix, tailEval)
 	case se.prefix != nil:
 		st, err = se.prefix.Run(data, tailEval)
 	default:
 		// Empty prefix: the record itself is the single candidate.
-		if span := trimWS(data, lo, hi); len(span) > 0 {
-			off := lo
-			for off < hi && isSpaceByte(data[off]) {
-				off++
-			}
-			tailEval(0, off, off+len(span))
+		if lo < hi {
+			tailEval(0, lo, hi)
 		}
-		st.InputBytes = int64(hi - lo)
+		st.InputBytes = int64(len(data))
 	}
 	st.Matches = matches
 	return st, err
 }
 
-// trimWS returns data[lo:hi] with surrounding JSON whitespace removed.
-func trimWS(data []byte, lo, hi int) []byte {
+// trimWS returns the bounds of data with surrounding JSON whitespace
+// removed.
+func trimWS(data []byte) (lo, hi int) {
+	lo, hi = 0, len(data)
 	for lo < hi && isSpaceByte(data[lo]) {
 		lo++
 	}
 	for hi > lo && isSpaceByte(data[hi-1]) {
 		hi--
 	}
-	return data[lo:hi]
+	return lo, hi
 }
 
 func isSpaceByte(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }

@@ -53,12 +53,6 @@ func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 		} else {
 			doc = jsonski.Open(data)
 		}
-		if sp.Recording() {
-			// Sampled: record the bounded movement log so the span
-			// carries the hop-by-hop fast-forward events, as /query
-			// spans do.
-			doc.Explain(spanTraceEvents)
-		}
 		raw, err := doc.Lookup(segs...).Raw()
 		if cerr := doc.Close(); err == nil {
 			err = cerr

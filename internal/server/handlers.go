@@ -123,18 +123,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			sink := &jsonski.StreamSink{W: out, Prefix: recordPrefix(idx), Suffix: lineSuffix}
 			st, err := s.runRecord(rsp, idx, func(sp *telemetry.Span) (jsonski.Stats, error) {
 				sp.SetBool("jsonski.indexed", ix != nil)
-				// Explain requests trace every record for the trailer; a
-				// sampled span gets its movement log as span events.
-				// Same engine, same output either way.
+				// Explain requests trace every record for the trailer,
+				// and runRecord lifts that trace onto the span; sampling
+				// picks no engine.
 				switch {
 				case explain:
 					return q.RunSinkExplain(rec, sink, perRecordExplainEvents)
-				case ix != nil && sp.Recording():
-					return q.RunIndexedSinkExplain(ix, sink, spanTraceEvents)
 				case ix != nil:
 					return q.RunIndexedSink(ix, sink)
-				case sp.Recording():
-					return q.RunSinkExplain(rec, sink, spanTraceEvents)
 				}
 				return q.RunSink(rec, sink)
 			})

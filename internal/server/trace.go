@@ -5,22 +5,27 @@ import (
 	"time"
 
 	"jsonski"
-	"jsonski/internal/fastforward"
 	"jsonski/internal/telemetry"
 )
 
-// spanTraceEvents caps the fast-forward movements lifted onto one
-// engine span of a sampled request. It is deliberately smaller than the
-// explain-trailer caps: spans travel to a collector per request, while
-// explain output is an opt-in debugging surface.
-const spanTraceEvents = 64
+// ffBytesKeys are the span attribute names of the per-group
+// fast-forward charges, G1 to G5, spelled out so that setting them on a
+// sampled span builds no string.
+var ffBytesKeys = [5]string{
+	"jsonski.ff.bytes.G1",
+	"jsonski.ff.bytes.G2",
+	"jsonski.ff.bytes.G3",
+	"jsonski.ff.bytes.G4",
+	"jsonski.ff.bytes.G5",
+}
 
 // runRecord runs one record evaluation under an engine.run child span
 // of rsp and accounts it: its latency and engine counters, then, on a
 // sampled span, the paper's cost accounting — matches, input vs scanned
-// bytes, and the per-group fast-forward charges of Table 1 — plus the
-// movement log when the run recorded one. run gets the span (nil on an
-// unsampled request) and returns the evaluation's stats and error.
+// bytes, and the per-group fast-forward charges of Table 1 — plus, on
+// an explain request, the movement log its trailer renders. run gets
+// the span (nil on an unsampled request) and returns the evaluation's
+// stats and error.
 func (s *Server) runRecord(rsp *telemetry.Span, idx int, run func(*telemetry.Span) (jsonski.Stats, error)) (st jsonski.Stats, err error) {
 	rsp.Child("engine.run", func(sp *telemetry.Span) {
 		t0 := time.Now()
@@ -35,7 +40,7 @@ func (s *Server) runRecord(rsp *telemetry.Span, idx int, run func(*telemetry.Spa
 		sp.SetInt("jsonski.input.bytes", st.InputBytes)
 		sp.SetInt("jsonski.scanned.bytes", st.ScannedBytes())
 		for g, v := range st.SkippedBytes {
-			sp.SetInt("jsonski.ff.bytes."+fastforward.Group(g).String(), v)
+			sp.SetInt(ffBytesKeys[g], v)
 		}
 		sp.SetFloat("jsonski.skip.ratio", st.FastForwardRatio())
 		if tr := st.Trace(); tr != nil {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -23,39 +24,33 @@ import (
 type otlpWire struct {
 	ResourceSpans []struct {
 		ScopeSpans []struct {
-			Spans []struct {
-				TraceID      string `json:"traceId"`
-				SpanID       string `json:"spanId"`
-				ParentSpanID string `json:"parentSpanId"`
-				Name         string `json:"name"`
-				Attributes   []struct {
-					Key   string `json:"key"`
-					Value struct {
-						StringValue *string  `json:"stringValue"`
-						IntValue    *string  `json:"intValue"`
-						DoubleValue *float64 `json:"doubleValue"`
-						BoolValue   *bool    `json:"boolValue"`
-					} `json:"value"`
-				} `json:"attributes"`
-			} `json:"spans"`
+			Spans []wireSpan `json:"spans"`
 		} `json:"scopeSpans"`
 	} `json:"resourceSpans"`
 }
 
-type wireSpan = struct {
-	TraceID      string `json:"traceId"`
-	SpanID       string `json:"spanId"`
-	ParentSpanID string `json:"parentSpanId"`
-	Name         string `json:"name"`
-	Attributes   []struct {
-		Key   string `json:"key"`
-		Value struct {
-			StringValue *string  `json:"stringValue"`
-			IntValue    *string  `json:"intValue"`
-			DoubleValue *float64 `json:"doubleValue"`
-			BoolValue   *bool    `json:"boolValue"`
-		} `json:"value"`
-	} `json:"attributes"`
+// wireSpan is one exported span.
+type wireSpan struct {
+	TraceID      string     `json:"traceId"`
+	SpanID       string     `json:"spanId"`
+	ParentSpanID string     `json:"parentSpanId"`
+	Name         string     `json:"name"`
+	Attributes   []wireAttr `json:"attributes"`
+	Events       []struct {
+		Name       string     `json:"name"`
+		Attributes []wireAttr `json:"attributes"`
+	} `json:"events"`
+}
+
+// wireAttr is one span or event attribute.
+type wireAttr struct {
+	Key   string `json:"key"`
+	Value struct {
+		StringValue *string  `json:"stringValue"`
+		IntValue    *string  `json:"intValue"`
+		DoubleValue *float64 `json:"doubleValue"`
+		BoolValue   *bool    `json:"boolValue"`
+	} `json:"value"`
 }
 
 // collector is a test OTLP/HTTP collector accumulating every span
@@ -322,7 +317,9 @@ func TestTraceHammerStalledExporter(t *testing.T) {
 // it exports: one trace per request, its root's name, and each child's
 // name and count, every child parented on the root. A span that never
 // ends never reaches the sink, so this is the runtime check that every
-// span a request starts also ends.
+// span a request starts also ends. It also pins what each engine.run
+// span carries: the cost attributes always, and movement events only on
+// an explain request, the same movements as the response's trailer.
 func TestEveryTracedRequestExportsItsSpanTree(t *testing.T) {
 	const rec = `{"a": {"b": 1}, "pad": [1, 2, 3]}`
 	ndjson := func(recs ...string) string { return strings.Join(recs, "\n") + "\n" }
@@ -341,27 +338,28 @@ func TestEveryTracedRequestExportsItsSpanTree(t *testing.T) {
 		root        string
 		children    map[string]int
 		tier        string // index.lookup's jsonski.index.tier, if it has one
+		events      bool   // engine.run spans carry the trailer's movements
 	}{
 		{"ndjson query", false, query("/query", "path", "$.a.b"), "", ndjson(rec, rec, rec),
-			http.StatusOK, "POST /query", map[string]int{"engine.run": 3}, ""},
+			http.StatusOK, "POST /query", map[string]int{"engine.run": 3}, "", false},
 		{"explain", false, query("/query", "path", "$.a.b") + "&explain=1", "", ndjson(rec, rec),
-			http.StatusOK, "POST /query", map[string]int{"engine.run": 2}, ""},
+			http.StatusOK, "POST /query", map[string]int{"engine.run": 2}, "", true},
 		{"explain single document", false, query("/query", "path", "$.a.b") + "&explain=1", "application/json", doc,
-			http.StatusOK, "POST /query", map[string]int{"engine.run": 1, "sink.flush": 1}, ""},
+			http.StatusOK, "POST /query", map[string]int{"engine.run": 1, "sink.flush": 1}, "", true},
 		{"single document, index hit", false, query("/query", "path", "$.a.b[2]"), "application/json", doc,
-			http.StatusOK, "POST /query", map[string]int{"index.lookup": 1, "engine.run": 1, "sink.flush": 1}, "cache"},
+			http.StatusOK, "POST /query", map[string]int{"index.lookup": 1, "engine.run": 1, "sink.flush": 1}, "cache", false},
 		{"single document, no index", true, query("/query", "path", "$.a.b[2]"), "application/json", doc,
-			http.StatusOK, "POST /query", map[string]int{"index.lookup": 1, "engine.run": 1, "sink.flush": 1}, "none"},
+			http.StatusOK, "POST /query", map[string]int{"index.lookup": 1, "engine.run": 1, "sink.flush": 1}, "none", false},
 		{"multi ndjson", false, query("/multi", "path", "$.a", "$.pad"), "", ndjson(rec, rec),
-			http.StatusOK, "POST /multi", map[string]int{"engine.run": 2}, ""},
+			http.StatusOK, "POST /multi", map[string]int{"engine.run": 2}, "", false},
 		{"multi single document", false, query("/multi", "path", "$.a", "$.pad"), "application/json", doc,
-			http.StatusOK, "POST /multi", map[string]int{"index.lookup": 1, "engine.run": 1, "sink.flush": 1}, "cache"},
+			http.StatusOK, "POST /multi", map[string]int{"index.lookup": 1, "engine.run": 1, "sink.flush": 1}, "cache", false},
 		{"doc hit", false, query("/doc", "get", "a.b[2].c"), "", doc,
-			http.StatusOK, "POST /doc", map[string]int{"index.lookup": 1, "engine.run": 1}, "cache"},
+			http.StatusOK, "POST /doc", map[string]int{"index.lookup": 1, "engine.run": 1}, "cache", false},
 		{"doc 404", false, query("/doc", "get", "a.zz"), "", doc,
-			http.StatusNotFound, "POST /doc", map[string]int{"index.lookup": 1, "engine.run": 1}, "cache"},
+			http.StatusNotFound, "POST /doc", map[string]int{"index.lookup": 1, "engine.run": 1}, "cache", false},
 		{"malformed record", false, query("/query", "path", "$.a.b"), "", ndjson(rec, `{"a": {`, rec),
-			http.StatusOK, "POST /query", map[string]int{"engine.run": 3}, ""},
+			http.StatusOK, "POST /query", map[string]int{"engine.run": 3}, "", false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -376,7 +374,8 @@ func TestEveryTracedRequestExportsItsSpanTree(t *testing.T) {
 				cfg.IndexCacheBytes = -1
 			}
 			_, ts := newTestServer(t, cfg)
-			if code, body := post(t, ts.URL+c.target, c.contentType, c.body); code != c.status {
+			code, body := post(t, ts.URL+c.target, c.contentType, c.body)
+			if code != c.status {
 				t.Fatalf("status %d, want %d: %s", code, c.status, body)
 			}
 			if err := exporter.Close(); err != nil {
@@ -416,16 +415,95 @@ func TestEveryTracedRequestExportsItsSpanTree(t *testing.T) {
 						sp.Name, sp.TraceID, sp.ParentSpanID, root.SpanID, root.TraceID)
 				}
 				children[sp.Name]++
-				if sp.Name == "index.lookup" {
+				switch sp.Name {
+				case "index.lookup":
 					if got := stringAttr(sp, "jsonski.index.tier"); got != c.tier {
 						t.Errorf("index.lookup tier %q, want %q", got, c.tier)
 					}
+				case "engine.run":
+					checkEngineRun(t, sp, c.events, body)
 				}
 			}
 			if !reflect.DeepEqual(children, c.children) {
 				t.Fatalf("children %v, want %v", children, c.children)
 			}
 		})
+	}
+}
+
+// engineRunAttrs are the attributes of every sampled engine.run span:
+// which record and whether it ran indexed, then its cost accounting.
+var engineRunAttrs = []string{
+	"jsonski.record", "jsonski.indexed",
+	"jsonski.matches", "jsonski.input.bytes", "jsonski.scanned.bytes",
+	"jsonski.ff.bytes.G1", "jsonski.ff.bytes.G2", "jsonski.ff.bytes.G3",
+	"jsonski.ff.bytes.G4", "jsonski.ff.bytes.G5", "jsonski.skip.ratio",
+}
+
+// spanEventCap is the per-span event cap of internal/telemetry.
+const spanEventCap = 128
+
+// checkEngineRun checks that an engine.run span carries every one of
+// engineRunAttrs and, when events is set, the movements that body's
+// explain trailer lists for the span's record, in order, up to the
+// span's event cap; otherwise no events at all.
+func checkEngineRun(t *testing.T, sp wireSpan, events bool, body string) {
+	t.Helper()
+	record := -1
+	has := map[string]bool{}
+	for _, a := range sp.Attributes {
+		has[a.Key] = true
+		if a.Key == "jsonski.record" && a.Value.IntValue != nil {
+			record, _ = strconv.Atoi(*a.Value.IntValue)
+		}
+	}
+	for _, key := range engineRunAttrs {
+		if !has[key] {
+			t.Errorf("engine.run of record %d lacks %s", record, key)
+		}
+	}
+	if !events {
+		if len(sp.Events) != 0 {
+			t.Errorf("engine.run of record %d carries %d events outside an explain request", record, len(sp.Events))
+		}
+		return
+	}
+	var want []explainEvent
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		var trailer struct {
+			Explain *struct {
+				Events []explainEvent `json:"events"`
+			} `json:"explain"`
+		}
+		if json.Unmarshal([]byte(line), &trailer) != nil || trailer.Explain == nil {
+			continue
+		}
+		for _, e := range trailer.Explain.Events {
+			if e.Record == record {
+				want = append(want, e)
+			}
+		}
+	}
+	if len(want) > spanEventCap {
+		want = want[:spanEventCap]
+	}
+	if len(want) == 0 || len(sp.Events) != len(want) {
+		t.Fatalf("engine.run of record %d has %d events, want the trailer's %d (> 0)", record, len(sp.Events), len(want))
+	}
+	for i, ev := range sp.Events {
+		got := map[string]string{}
+		for _, a := range ev.Attributes {
+			if a.Value.StringValue != nil {
+				got[a.Key] = *a.Value.StringValue
+			} else if a.Value.IntValue != nil {
+				got[a.Key] = *a.Value.IntValue
+			}
+		}
+		w := want[i]
+		if ev.Name != w.Func || got["group"] != w.Group ||
+			got["start"] != strconv.Itoa(w.Start) || got["bytes"] != strconv.Itoa(w.Bytes) {
+			t.Errorf("record %d event %d: span %s %v, trailer %+v", record, i, ev.Name, got, w.TraceEvent)
+		}
 	}
 }
 

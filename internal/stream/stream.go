@@ -53,9 +53,8 @@ func (m Meta) String() string { return string(metaByte[m]) }
 // Stream is a forward-only cursor over a single JSON input buffer.
 // The zero value is not usable; call New.
 type Stream struct {
-	data  []byte
-	pos   int // absolute byte position, 0 <= pos <= limit
-	limit int // logical end of input: len(data), or the window end
+	data []byte
+	pos  int // absolute byte position, 0 <= pos <= len(data)
 
 	// idx, when non-nil, is a borrowed prebuilt structural index: loadWord
 	// copies the word's masks out of it instead of classifying the word,
@@ -92,24 +91,14 @@ type Stream struct {
 
 // New returns a stream positioned at byte 0 of data.
 func New(data []byte) *Stream {
-	s := &Stream{data: data, limit: len(data), wordBase: -bits.WordSize}
-	s.loadWord(0)
+	s := &Stream{}
+	s.Reset(data)
 	return s
 }
 
 // Reset re-targets the stream at a new buffer, reusing the allocation.
 // Any borrowed index from a previous ResetIndexed is dropped.
-func (s *Stream) Reset(data []byte) {
-	s.data = data
-	s.limit = len(data)
-	s.idx = nil
-	s.pos = 0
-	s.wordBase = -bits.WordSize
-	s.ec.Reset()
-	s.sc.Reset()
-	s.WordsProcessed = 0
-	s.loadWord(0)
-}
+func (s *Stream) Reset(data []byte) { s.bind(data, nil) }
 
 // NewIndexed returns a stream over ix's buffer that borrows the prebuilt
 // structural index instead of computing masks word by word. The caller
@@ -122,53 +111,32 @@ func NewIndexed(ix *Index) *Stream {
 
 // ResetIndexed re-targets the stream at a prebuilt index, reusing the
 // allocation.
-func (s *Stream) ResetIndexed(ix *Index) {
-	s.ResetIndexedWindow(ix, 0, ix.Len())
-}
+func (s *Stream) ResetIndexed(ix *Index) { s.bind(ix.data, ix) }
 
-// NewIndexedWindow returns a borrowing stream restricted to the window
-// [lo, hi) of ix's buffer: the cursor starts at lo and the stream
-// behaves as if input ended at hi (masks of the boundary word are
-// truncated). Positions remain absolute within the full buffer. The
-// window must start outside any JSON string.
-func NewIndexedWindow(ix *Index, lo, hi int) *Stream {
-	s := &Stream{}
-	s.ResetIndexedWindow(ix, lo, hi)
-	return s
-}
-
-// ResetIndexedWindow re-targets the stream at a window of a prebuilt
-// index, reusing the allocation.
-func (s *Stream) ResetIndexedWindow(ix *Index, lo, hi int) {
-	if hi > ix.Len() {
-		hi = ix.Len()
-	}
-	if lo > hi {
-		lo = hi
-	}
-	s.data = ix.data
-	s.limit = hi
+// bind positions the stream at byte 0 of data, borrowing ix's masks
+// when ix is non-nil.
+func (s *Stream) bind(data []byte, ix *Index) {
+	s.data = data
 	s.idx = ix
-	s.pos = lo
+	s.pos = 0
 	s.wordBase = -bits.WordSize
 	s.ec.Reset()
 	s.sc.Reset()
 	s.WordsProcessed = 0
-	s.loadWord(lo &^ (bits.WordSize - 1))
+	s.loadWord(0)
 }
 
 // Data returns the underlying buffer.
 func (s *Stream) Data() []byte { return s.data }
 
-// Len returns the logical input length (the window end for windowed
-// streams).
-func (s *Stream) Len() int { return s.limit }
+// Len returns the input length.
+func (s *Stream) Len() int { return len(s.data) }
 
 // Pos returns the current absolute position.
 func (s *Stream) Pos() int { return s.pos }
 
 // EOF reports whether the cursor has consumed the whole input.
-func (s *Stream) EOF() bool { return s.pos >= s.limit }
+func (s *Stream) EOF() bool { return s.pos >= len(s.data) }
 
 // loadWord pulls words through the carry pipeline until the word starting
 // at base (a multiple of 64) is cached. base must be >= current wordBase.
@@ -186,7 +154,7 @@ func (s *Stream) loadWord(base int) {
 	}
 	for s.wordBase < base {
 		s.wordBase += bits.WordSize
-		if s.wordBase >= s.limit {
+		if s.wordBase >= len(s.data) {
 			// Past EOF: empty masks, carries frozen.
 			s.blk = bits.Block{}
 			s.quotes = 0
@@ -204,8 +172,8 @@ func (s *Stream) loadWord(base int) {
 			return
 		}
 		end := s.wordBase + bits.WordSize
-		if end > s.limit {
-			end = s.limit
+		if end > len(s.data) {
+			end = len(s.data)
 		}
 		s.blk.Load(s.data[s.wordBase:end])
 		quotes, backslash := s.blk.QuoteAndBackslashMasks()
@@ -228,14 +196,14 @@ func (s *Stream) loadVectorWord(base int) {
 	var m bits.Masks
 	for s.wordBase < base {
 		s.wordBase += bits.WordSize
-		if s.wordBase >= s.limit {
+		if s.wordBase >= len(s.data) {
 			// Past EOF: empty masks, carries frozen.
-			s.resolveRow(&noRow, 0)
+			s.resolveRow(&noRow)
 			return
 		}
 		end := s.wordBase + bits.WordSize
-		if end > s.limit {
-			end = s.limit
+		if end > len(s.data) {
+			end = len(s.data)
 		}
 		bits.Classify(&m, s.data[s.wordBase:end])
 		quotes := m.Quote &^ s.ec.Escaped(m.Backslash)
@@ -253,46 +221,39 @@ func (s *Stream) loadVectorWord(base int) {
 				idxColon:    m.Colon &^ inStr,
 				idxComma:    m.Comma &^ inStr,
 			}
-			s.resolveRow(&row, ^uint64(0))
+			s.resolveRow(&row)
 		}
 	}
 }
 
 // noRow stands in for the row of a word past the end of input; it is
-// only ever read, with a zero valid mask.
+// only ever read.
 var noRow [idxStride]uint64
 
 // indexedRow returns the borrowed index's row for the word starting at
-// base, and the mask of its bits inside the window: the word that
-// straddles the window end is truncated so structure past the window
-// stays invisible.
-func (s *Stream) indexedRow(base int) (*[idxStride]uint64, uint64) {
-	if base >= s.limit {
-		return &noRow, 0
-	}
-	valid := ^uint64(0)
-	if rem := s.limit - base; rem < bits.WordSize {
-		valid = uint64(1)<<uint(rem) - 1
+// base, or noRow past the end of input.
+func (s *Stream) indexedRow(base int) *[idxStride]uint64 {
+	if base >= len(s.data) {
+		return &noRow
 	}
 	s.WordsProcessed++
-	return (*[idxStride]uint64)(s.idx.row(base / bits.WordSize)), valid
+	return (*[idxStride]uint64)(s.idx.row(base / bits.WordSize))
 }
 
 // resolveRow caches the current word fully resolved from a row in the
-// index layout, keeping only the bits in valid: every mask the lazy
-// pipeline would compute on demand, the three fused unions included, is
-// filled and marked present. It serves both the indexed and the vector
-// loader.
-func (s *Stream) resolveRow(row *[idxStride]uint64, valid uint64) {
-	s.inStr = row[idxInStr] & valid
-	s.quotes = row[idxQuote] & valid
-	s.ws = row[idxWS] & valid
-	s.masks[LBrace] = row[idxLBrace] & valid
-	s.masks[RBrace] = row[idxRBrace] & valid
-	s.masks[LBracket] = row[idxLBracket] & valid
-	s.masks[RBracket] = row[idxRBracket] & valid
-	s.masks[Colon] = row[idxColon] & valid
-	s.masks[Comma] = row[idxComma] & valid
+// index layout: every mask the lazy pipeline would compute on demand,
+// the three fused unions included, is filled and marked present. It
+// serves both the indexed and the vector loader.
+func (s *Stream) resolveRow(row *[idxStride]uint64) {
+	s.inStr = row[idxInStr]
+	s.quotes = row[idxQuote]
+	s.ws = row[idxWS]
+	s.masks[LBrace] = row[idxLBrace]
+	s.masks[RBrace] = row[idxRBrace]
+	s.masks[LBracket] = row[idxLBracket]
+	s.masks[RBracket] = row[idxRBracket]
+	s.masks[Colon] = row[idxColon]
+	s.masks[Comma] = row[idxComma]
 	s.masks[Quote] = s.quotes
 	s.stop = s.masks[LBrace] | s.masks[LBracket] | s.masks[RBracket]
 	s.attrStop = s.masks[LBrace] | s.masks[LBracket] | s.masks[RBrace]
@@ -311,8 +272,8 @@ func (s *Stream) SetPos(p int) {
 	if p < s.pos {
 		panic(fmt.Sprintf("stream: SetPos moving backwards (%d -> %d)", s.pos, p))
 	}
-	if p > s.limit {
-		p = s.limit
+	if p > len(s.data) {
+		p = len(s.data)
 	}
 	s.pos = p
 	base := p &^ (bits.WordSize - 1)
@@ -331,8 +292,8 @@ func (s *Stream) WordBase() int { return s.wordBase }
 // false when that would move past the end of input.
 func (s *Stream) NextWord() bool {
 	next := s.wordBase + bits.WordSize
-	if next >= s.limit {
-		s.pos = s.limit
+	if next >= len(s.data) {
+		s.pos = len(s.data)
 		return false
 	}
 	s.SetPos(next)
@@ -457,7 +418,7 @@ func (s *Stream) Current() byte { return s.data[s.pos] }
 func (s *Stream) SkipWS() (byte, bool) {
 	d := s.data
 	p := s.pos
-	for p < s.limit {
+	for p < len(d) {
 		switch c := d[p]; c {
 		case ' ', '\t', '\n', '\r':
 			p++
@@ -468,7 +429,7 @@ func (s *Stream) SkipWS() (byte, bool) {
 			return c, true
 		}
 	}
-	s.SetPos(s.limit)
+	s.SetPos(len(d))
 	return 0, false
 }
 
@@ -547,20 +508,20 @@ func (s *Stream) SkipPrimitive() (start, end int) {
 	for {
 		stop := s.MaskFrom(Comma) | s.MaskFrom(RBrace) | s.MaskFrom(RBracket) |
 			bits.ClearBelow(s.WhitespaceMask(), uint(s.pos-s.wordBase))
-		if rem := s.limit - s.wordBase; rem < bits.WordSize {
+		if rem := len(s.data) - s.wordBase; rem < bits.WordSize {
 			stop |= ^(uint64(1)<<uint(rem) - 1) // treat the padding as a stop
 		}
 		if stop != 0 {
 			end = s.wordBase + bits.TrailingZeros(stop)
-			if end > s.limit {
-				end = s.limit
+			if end > len(s.data) {
+				end = len(s.data)
 			}
 			s.SetPos(end)
 			return start, end
 		}
 		if !s.NextWord() {
-			s.pos = s.limit
-			return start, s.limit
+			s.pos = len(s.data)
+			return start, len(s.data)
 		}
 	}
 }

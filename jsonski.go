@@ -140,25 +140,22 @@ func (s *Stats) merge(o Stats) {
 // runner is the common face of the engines: the streaming engine for
 // automata it runs whole (a path, linear or with a descendant step, or
 // a group of a QuerySet's members), and the segmented engine for paths
-// with a split point. A whole index is the window [0, Len).
+// with a split point.
 type runner interface {
 	Run(data []byte, emit core.EmitFunc) (core.Stats, error)
-	RunIndexedWindow(ix *stream.Index, lo, hi int, emit core.EmitFunc) (core.Stats, error)
+	RunIndexed(ix *stream.Index, emit core.EmitFunc) (core.Stats, error)
 	SetTrace(t *telemetry.Trace)
 }
 
-// input is one record to evaluate: a buffer, or the [lo, hi) window of
-// an index's buffer, in which case data is the whole buffer.
+// input is one record to evaluate: a buffer, or an index, in which case
+// data is the index's buffer.
 type input struct {
-	data   []byte
-	ix     *Index
-	lo, hi int
+	data []byte
+	ix   *Index
 }
 
-// indexed is the input of the [lo, hi) window of ix's buffer.
-func indexed(ix *Index, lo, hi int) input {
-	return input{data: ix.Data(), ix: ix, lo: lo, hi: hi}
-}
+// indexed is the input of ix's buffer.
+func indexed(ix *Index) input { return input{data: ix.Data(), ix: ix} }
 
 // Query is a compiled JSONPath expression. It is immutable and safe for
 // concurrent use; each concurrent evaluation draws a private engine from
@@ -225,7 +222,7 @@ func (p *pass) eval(in input, sr *sinkRun) (Stats, error) {
 	if in.ix == nil {
 		st, err = e.Run(in.data, sr.emit())
 	} else {
-		st, err = e.RunIndexedWindow(in.ix.ix, in.lo, in.hi, sr.emit())
+		st, err = e.RunIndexed(in.ix.ix, sr.emit())
 	}
 	var out Stats
 	out.add(st)
@@ -274,7 +271,7 @@ func (q *Query) RunIndexed(ix *Index, fn func(Match)) (Stats, error) {
 // buffer. The index must stay alive (not finally Released) for the
 // duration of the call.
 func (q *Query) RunIndexedSink(ix *Index, sink Sink) (Stats, error) {
-	return single(indexed(ix, 0, ix.Len()), newSinkRun(sink), q.eval)
+	return single(indexed(ix), newSinkRun(sink), q.eval)
 }
 
 // Count returns the number of matches in data.

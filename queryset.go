@@ -154,7 +154,7 @@ func (qs *QuerySet) Run(data []byte, fn func(SetMatch)) (Stats, error) {
 // index must stay alive (not finally Released) for the duration of the
 // call.
 func (qs *QuerySet) RunIndexed(ix *Index, fn func(SetMatch)) (Stats, error) {
-	return single(indexed(ix, 0, ix.Len()), setFnRun(fn), qs.eval)
+	return single(indexed(ix), setFnRun(fn), qs.eval)
 }
 
 // RunSink evaluates all queries over one record, delivering every match
@@ -170,7 +170,7 @@ func (qs *QuerySet) RunSink(data []byte, sink Sink) (Stats, error) {
 // buffer. The index must stay alive (not finally Released) for the
 // duration of the call.
 func (qs *QuerySet) RunIndexedSink(ix *Index, sink Sink) (Stats, error) {
-	return single(indexed(ix, 0, ix.Len()), newSinkRun(sink), qs.eval)
+	return single(indexed(ix), newSinkRun(sink), qs.eval)
 }
 
 // RunRecords evaluates all queries over a sequence of independent JSON
