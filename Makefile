@@ -27,12 +27,17 @@ test-386:
 	GOARCH=386 go test ./...
 
 # cross mirrors the CI cross-compile job: darwin and windows check that
-# the library and the commands build there (no non-test file is gated
-# on GOOS), and arm64 builds internal/bits' non-amd64 path, where there
-# is no vector kernel.
+# the library and the commands build there, and arm64 builds
+# internal/bits' non-amd64 path, where there is no vector kernel. One
+# non-test file pair is gated on GOOS: cmd/jsonski maps its input on
+# unix (mmap_unix.go) and reads it elsewhere (mmap_other.go), so
+# cmd/jsonski is also vetted on darwin (the unix half) and windows (the
+# other).
 cross:
 	GOOS=darwin go build ./...
+	GOOS=darwin go vet ./cmd/jsonski
 	GOOS=windows go build ./...
+	GOOS=windows go vet ./cmd/jsonski
 	GOARCH=arm64 go build ./...
 
 race:

@@ -17,8 +17,10 @@
 // Malformed input exits non-zero with the offending record named;
 // Ctrl-C cancels cleanly between records.
 //
-// A single document, given as a file or redirected to stdin, is read
-// into one buffer sized to the file; a pipe is read as it comes.
+// A single document, given as a file or redirected to stdin, is mapped
+// read-only and evaluated in place, with no copy into the heap; a file
+// that shrinks while mapped is reported as an error. A pipe is read as
+// it comes.
 //
 // -get navigates a single document on demand instead of compiling a
 // query: a dot path like 'store.book[2].title' hops straight to one
@@ -39,9 +41,11 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"syscall"
 	"time"
+	"unsafe"
 
 	"jsonski"
 	"jsonski/internal/telemetry"
@@ -137,23 +141,23 @@ func run(ctx context.Context, query, get string, countOnly, showStats, records b
 			st, err = q.RunReaderParallelContext(ctx, in, workers, emit)
 		}
 	} else {
-		var data []byte
-		if data, err = readInput(ctx, in); err != nil {
+		var doc *input
+		if doc, err = readInput(ctx, in); err != nil {
 			return err
 		}
-		if explain {
-			st, err = q.RunSinkExplain(data, sink, 0)
-		} else {
-			st, err = q.RunSink(data, sink)
-		}
+		defer doc.release()
+		st, err = doc.query(q, sink, explain)
 	}
 	elapsed := time.Since(start)
 	if err != nil {
 		// Matches already streamed stay on stdout; flush them so the
 		// partial output is usable, then fail loudly.
 		out.Flush()
-		if errors.Is(err, context.Canceled) {
+		switch {
+		case errors.Is(err, context.Canceled):
 			return fmt.Errorf("interrupted after %d matches", st.Matches)
+		case errors.Is(err, errShrank):
+			return err
 		}
 		return fmt.Errorf("query failed: %w", err)
 	}
@@ -208,25 +212,16 @@ func runGet(ctx context.Context, path string, showStats, explain bool, args []st
 	if in != os.Stdin {
 		defer in.Close()
 	}
-	data, err := readInput(ctx, in)
+	doc, err := readInput(ctx, in)
 	if err != nil {
 		return err
 	}
-	doc := jsonski.Open(data)
-	if explain {
-		doc.Explain(0)
-	}
-	raw, err := doc.Lookup(segs...).Raw()
+	defer doc.release()
+	st, err := doc.get(path, segs, explain, os.Stdout)
 	if err != nil {
-		return fmt.Errorf("get %s: %w", path, err)
-	}
-	if err := doc.Close(); err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
-	os.Stdout.Write(raw)
-	os.Stdout.Write([]byte{'\n'})
-	st := doc.Stats()
 	if tr := st.Trace(); tr != nil {
 		tr.Dump(os.Stderr)
 	}
@@ -247,26 +242,48 @@ func openInput(args []string) (*os.File, error) {
 	return nil, fmt.Errorf("expected at most one input file, got %d", len(args))
 }
 
-// readInput reads the whole of a single-document input, for the query
-// and -get paths (-records streams instead). A regular file,
-// given as a path or redirected to stdin, is read into one buffer sized
-// by Stat, as os.ReadFile does: the input is allocated and copied once,
-// where io.ReadAll's growth copies it several times and lets the GC run
-// while it reads. A pipe or terminal falls back to io.ReadAll.
-func readInput(ctx context.Context, in *os.File) ([]byte, error) {
-	data, err := readAll(in)
+// readInput returns the whole of a single-document input, for the query
+// and -get paths (-records streams instead). A regular file of known
+// size, given as a path or redirected to stdin at its start, is mapped
+// read-only over the size Stat reports: the engine reads the file's
+// pages in place, and no byte is copied into the heap first. Bytes
+// appended after the Stat are not evaluated. Other regular files (empty
+// or /proc-style ones, stdin past its start, a failed map, a system
+// without mmap) go through readSized; a pipe or terminal falls back to
+// io.ReadAll. The caller releases the input after stdout is flushed.
+func readInput(ctx context.Context, f *os.File) (*input, error) {
+	in, err := load(f)
 	if err != nil {
 		return nil, fmt.Errorf("reading input: %w", err)
 	}
-	return data, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		in.release()
+		return nil, err
+	}
+	return in, nil
 }
 
-func readAll(f *os.File) ([]byte, error) {
+func load(f *os.File) (*input, error) {
 	fi, err := f.Stat()
 	if err != nil || !fi.Mode().IsRegular() {
-		return io.ReadAll(f)
+		data, err := io.ReadAll(f)
+		return &input{data: data}, err
 	}
-	data := make([]byte, fi.Size())
+	if off, err := f.Seek(0, io.SeekCurrent); err == nil && off == 0 {
+		if data, ok := mapFile(f, fi.Size()); ok {
+			return &input{data: data, file: f}, nil
+		}
+	}
+	data, err := readSized(f, fi.Size())
+	return &input{data: data}, err
+}
+
+// readSized reads f, a regular file Stat found size bytes long, into one
+// buffer of that size, as os.ReadFile does: the input is allocated and
+// copied once, where io.ReadAll's growth copies it several times and
+// lets the GC run while it reads.
+func readSized(f *os.File, size int64) ([]byte, error) {
+	data := make([]byte, size)
 	n, err := io.ReadFull(f, data)
 	switch err {
 	case nil:
@@ -279,4 +296,87 @@ func readAll(f *os.File) ([]byte, error) {
 		return data[:n], nil
 	}
 	return nil, err
+}
+
+// input is a single document's bytes: a read-only mapping of its file,
+// or a buffer on the heap.
+type input struct {
+	data []byte
+	file *os.File // the file mapped at data; nil when data was read
+}
+
+// release unmaps a mapped input; nothing may read its bytes after.
+func (in *input) release() {
+	if in.file != nil {
+		unmap(in.data)
+	}
+}
+
+// errShrank marks the error of a mapped input whose file shrank while
+// the engine read it.
+var errShrank = errors.New("shrank")
+
+// query runs q over the document into sink, under the fault guard.
+func (in *input) query(q *jsonski.Query, sink jsonski.Sink, explain bool) (st jsonski.Stats, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer in.guard(&err)
+	if explain {
+		return q.RunSinkExplain(in.data, sink, 0)
+	}
+	return q.RunSink(in.data, sink)
+}
+
+// get writes the raw value at segs, and a newline, to w, under the
+// fault guard. path is segs as the user wrote them.
+func (in *input) get(path string, segs []string, explain bool, w io.Writer) (st jsonski.Stats, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer in.guard(&err)
+	doc := jsonski.Open(in.data)
+	if explain {
+		doc.Explain(0)
+	}
+	raw, err := doc.Lookup(segs...).Raw()
+	if err != nil {
+		return st, fmt.Errorf("get %s: %w", path, err)
+	}
+	if err := doc.Close(); err != nil {
+		return st, err
+	}
+	if _, err := w.Write(raw); err != nil {
+		return st, fmt.Errorf("writing output: %w", err)
+	}
+	if _, err := w.Write([]byte{'\n'}); err != nil {
+		return st, fmt.Errorf("writing output: %w", err)
+	}
+	return doc.Stats(), nil
+}
+
+// guard is deferred, after debug.SetPanicOnFault(true), by code that
+// reads the document's bytes; err points at that code's result. Pages
+// of a mapped file past a new, shorter end fault, and the page that
+// holds the new end reads as zeros past it. So whenever a fresh Stat
+// finds the file shorter than its mapping, guard reports that in place
+// of the code's own result, and recovers the fault if the panic is one
+// inside the mapping. It raises every other panic again: a bug is never
+// reported as an input error.
+func (in *input) guard(err *error) {
+	r := recover()
+	if in.file != nil && (r == nil || in.holds(r)) {
+		if fi, serr := in.file.Stat(); serr == nil && fi.Size() < int64(len(in.data)) {
+			*err = fmt.Errorf("reading input: %s %w from %d to %d bytes while mapped",
+				in.file.Name(), errShrank, len(in.data), fi.Size())
+			return
+		}
+	}
+	if r != nil {
+		panic(r)
+	}
+}
+
+// holds reports whether the panic r is a fault at an address inside the
+// mapping.
+func (in *input) holds(r any) bool {
+	fault, ok := r.(interface{ Addr() uintptr })
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(in.data)))
+	return ok && fault.Addr()-base < uintptr(len(in.data))
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -157,6 +158,21 @@ func TestRunGet(t *testing.T) {
 	}
 	if err := run(ctx, "", "a.b[", false, false, false, 1, false, []string{f}); err == nil {
 		t.Fatal("malformed path should error")
+	}
+
+	// A write that fails is an error, as on the -q paths: stdout here is
+	// a file opened read-only.
+	readOnly, err := os.Open(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer readOnly.Close()
+	oldOut := os.Stdout
+	os.Stdout = readOnly
+	err = run(ctx, "", "a.b[2]", false, false, false, 1, false, []string{f})
+	os.Stdout = oldOut
+	if err == nil || !strings.Contains(err.Error(), "writing output:") {
+		t.Fatalf("-get with an unwritable stdout: err = %v, want a writing output error", err)
 	}
 }
 
@@ -401,35 +417,71 @@ func TestRunInputKindsGiveSameOutput(t *testing.T) {
 	}
 }
 
-// TestReadInputAllocatesOnce pins the sized read: over a 2 MiB regular
-// file readInput allocates the input once, plus at most a page for the
-// EOF probe and bookkeeping. io.ReadAll's growth allocates about five
-// times the input.
+// TestReadInputAllocatesOnce pins the sized read, the fallback for
+// regular files that are not mapped and for systems without mmap: over
+// a 2 MiB regular file readSized allocates the input once, plus at most
+// a page for the EOF probe and bookkeeping. io.ReadAll's growth
+// allocates about five times the input. readInput maps the same file
+// instead, where mmap exists: the same bytes, with under a page of heap.
 func TestReadInputAllocatesOnce(t *testing.T) {
 	const size = 2 << 20
+	want := make([]byte, size)
+	for i := range want {
+		want[i] = byte(i % 251)
+	}
 	path := filepath.Join(t.TempDir(), "in.json")
-	if err := os.WriteFile(path, bytes.Repeat([]byte{' '}, size), 0o644); err != nil {
+	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	// A GC cycle the read triggered would charge the runtime's own
 	// allocations (mark workers, sweep bookkeeping) to the read.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	data, err := readInput(context.Background(), f)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	// heap reads the file three times and returns the least heap a read
+	// allocated: TotalAlloc counts every goroutine's allocations, and
+	// one that runs during a read can only add to it.
+	heap := func(read func(f *os.File) (*input, error)) (mapped bool, least uint64) {
+		least = math.MaxUint64
+		for range 3 {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			in, err := read(f)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(in.data, want) {
+				t.Fatalf("read %d bytes, not the file's %d", len(in.data), size)
+			}
+			mapped = in.file != nil
+			in.release()
+			f.Close()
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return mapped, least
 	}
-	if len(data) != size {
-		t.Fatalf("read %d bytes, want %d", len(data), size)
+
+	_, alloc := heap(func(f *os.File) (*input, error) {
+		data, err := readSized(f, size)
+		return &input{data: data}, err
+	})
+	if alloc > size+4<<10 {
+		t.Fatalf("the sized read of %d bytes allocated %d bytes, want at most %d", size, alloc, size+4<<10)
 	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > size+4<<10 {
-		t.Fatalf("reading %d bytes allocated %d bytes, want at most %d", size, alloc, size+4<<10)
+
+	mapped, alloc := heap(func(f *os.File) (*input, error) {
+		return readInput(context.Background(), f)
+	})
+	if !mapped {
+		if runtime.GOOS == "linux" {
+			t.Fatal("readInput read a regular file instead of mapping it")
+		}
+		return // no mmap here: readInput took the sized read
+	}
+	if alloc >= 4<<10 {
+		t.Fatalf("mapping %d bytes allocated %d bytes of heap, want under %d", size, alloc, 4<<10)
 	}
 }
